@@ -32,7 +32,26 @@ def access_delta(
     index_order: Sequence[str],
     direction: Sequence[int],
 ) -> tuple[int, ...]:
-    """The element-space step ``A e`` for an iteration-space step ``e``."""
+    """The element-space step ``A e`` for an iteration-space step ``e``.
+
+    Memoized by value: the transform pass, candidate derivation, the
+    analytic model and the dynamic planner ask for the same few
+    (reference, order, direction) triples thousands of times.
+
+    Raises:
+        ValueError: if a subscript uses an index not in
+            ``index_order`` (never cached; raised on every call).
+    """
+    return _access_delta(reference, tuple(index_order), tuple(direction))
+
+
+@lru_cache(maxsize=16384)
+def _access_delta(
+    reference: ArrayRef,
+    index_order: tuple[str, ...],
+    direction: tuple[int, ...],
+) -> tuple[int, ...]:
+    """Cached core of :func:`access_delta` (hashable arguments only)."""
     return mat_vec(reference.access_matrix(index_order), direction)
 
 

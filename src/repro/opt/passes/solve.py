@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.csp.backjumping import ConflictDirectedSolver
 from repro.csp.backtracking import BacktrackingSolver
+from repro.csp.compiled import compile_network
 from repro.csp.enhanced import EnhancedSolver
 from repro.csp.forward_checking import ForwardCheckingSolver
 from repro.csp.minconflicts import MinConflictsSolver
@@ -161,56 +162,87 @@ def repair_inflation(network, assignment: dict, program: Program) -> None:
 
     whenever the swap keeps the assignment a solution -- it never
     leaves the solution set, so exactness is preserved.
+
+    The fixpoint runs on the network's compiled kernel (cached on the
+    network, so fetching it is free): each variable's objective vector
+    over its whole domain is built once per call, and a swap is tested
+    with one shift-and-mask per neighbour against the support masks.
+    Only network variables are written back; any other keys in
+    ``assignment`` are left untouched.
     """
-    from repro.layout.mapping import LayoutMapping
-
-    objective_cache: dict[tuple[str, Layout], tuple[float, int]] = {}
-
-    def objective(array: str, layout: Layout) -> tuple[float, int]:
-        cached = objective_cache.get((array, layout))
-        if cached is not None:
-            return cached
-        inflation = LayoutMapping.create(program.array(array), layout).inflation
-        locality = 0
-        for nest in program.nests_referencing(array):
-            direction = tuple([0] * (nest.depth - 1) + [1])
-            order = nest.index_order
-            for reference in nest.references_to(array):
-                delta = access_delta(reference, order, direction)
-                if has_temporal_locality(delta) or has_spatial_locality(
-                    layout, delta
-                ):
-                    locality += nest.weight
-        score = (inflation, -locality)
-        objective_cache[(array, layout)] = score
-        return score
+    kernel = compile_network(network)
+    names = kernel.names
+    values = [
+        kernel.value_index[i][assignment[name]] for i, name in enumerate(names)
+    ]
+    scores = [
+        _objective_vector(program, name, kernel.domains[i])
+        for i, name in enumerate(names)
+    ]
+    neighbor_supports = [
+        tuple((j, kernel.supports[(i, j)]) for j in kernel.neighbors[i])
+        for i in range(len(names))
+    ]
 
     # Iterate to a fixpoint: improving one array can unlock a better
     # swap for a neighbor (bounded: each pass strictly improves the
     # global objective or stops).
-    for _ in range(len(network.variables)):
+    for _ in range(len(names)):
         changed = False
-        for array in network.variables:
-            current = assignment[array]
+        for i, row in enumerate(scores):
+            current = values[i]
             best = current
-            best_key = objective(array, current)
-            for candidate in network.domain(array):
-                if candidate == current:
+            best_key = row[current]
+            for candidate, key in enumerate(row):
+                if candidate == current or key >= best_key:
                     continue
-                key = objective(array, candidate)
-                if key >= best_key:
-                    continue
-                consistent = all(
-                    network.check_pair(
-                        array, candidate, neighbor, assignment[neighbor]
-                    )
-                    for neighbor in network.neighbors(array)
-                )
-                if consistent:
+                if all(
+                    (masks[candidate] >> values[j]) & 1
+                    for j, masks in neighbor_supports[i]
+                ):
                     best = candidate
                     best_key = key
             if best != current:
-                assignment[array] = best
+                values[i] = best
                 changed = True
         if not changed:
             break
+
+    for i, name in enumerate(names):
+        value = kernel.domains[i][values[i]]
+        if value != assignment[name]:
+            assignment[name] = value
+
+
+def _objective_vector(
+    program: Program, array: str, domain
+) -> list[tuple[float, int]]:
+    """``(inflation, -locality)`` for every domain value of one array.
+
+    Locality counts the nest weight of every reference with temporal
+    locality, or with spatial locality under the value's layout, in the
+    original loop order; references with equal access deltas are scored
+    once, with their weights summed.
+    """
+    from repro.layout.mapping import LayoutMapping
+
+    temporal = 0
+    spatial: dict[tuple[int, ...], int] = {}  # nonzero delta -> weight
+    for nest in program.nests_referencing(array):
+        direction = (0,) * (nest.depth - 1) + (1,)
+        order = nest.index_order
+        for reference in nest.references_to(array):
+            delta = access_delta(reference, order, direction)
+            if has_temporal_locality(delta):
+                temporal += nest.weight
+            else:
+                spatial[delta] = spatial.get(delta, 0) + nest.weight
+    decl = program.array(array)
+    scores = []
+    for layout in domain:
+        locality = temporal
+        for delta, weight in spatial.items():
+            if has_spatial_locality(layout, delta):
+                locality += weight
+        scores.append((LayoutMapping.create(decl, layout).inflation, -locality))
+    return scores

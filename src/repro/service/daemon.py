@@ -77,6 +77,11 @@ from repro.service.stream import ProtocolError
 
 logger = logging.getLogger(__name__)
 
+#: Longest request line a socket connection accepts (asyncio's default
+#: ``StreamReader`` limit); a longer one is answered with a
+#: ``request_too_large`` error and the connection is closed.
+MAX_REQUEST_BYTES = 64 * 1024
+
 
 @dataclass(frozen=True)
 class DaemonConfig:
@@ -1029,6 +1034,11 @@ class SolverDaemon:
         daemon stops reading and the transport pushes back on the
         client.  Control kinds (ping/stats/shutdown) bypass the bound:
         a saturated daemon stays inspectable and stoppable.
+
+        A line over :data:`MAX_REQUEST_BYTES` gets one
+        ``request_too_large`` error reply and ends the stream (requests
+        already in flight are still answered): the rest of that line
+        cannot be told apart from the next request.
         """
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
@@ -1051,7 +1061,19 @@ class SolverDaemon:
             task.add_done_callback(tasks.discard)
 
         while not self._shutdown.is_set():
-            line = await self._next_line(read_line)
+            try:
+                line = await self._next_line(read_line)
+            except ValueError:  # over the StreamReader line limit
+                self.counters["requests"] += 1
+                self.counters["errors"] += 1
+                await respond(
+                    stream.error_response(
+                        None,
+                        f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+                        reason=stream.REQUEST_TOO_LARGE,
+                    )
+                )
+                break
             if not line:  # EOF or shutdown
                 break
             if not line.strip():
@@ -1102,7 +1124,7 @@ class SolverDaemon:
         reclaim_stale_socket(socket_path)
         self.warm_up()
         server = await asyncio.start_unix_server(
-            self.serve_connection, path=socket_path
+            self.serve_connection, path=socket_path, limit=MAX_REQUEST_BYTES
         )
         logger.info("daemon listening on %s", socket_path)
         try:
@@ -1122,7 +1144,7 @@ class SolverDaemon:
         protocol, same loop as :meth:`serve_unix`)."""
         self.warm_up()
         server = await asyncio.start_server(
-            self.serve_connection, host=host, port=port
+            self.serve_connection, host=host, port=port, limit=MAX_REQUEST_BYTES
         )
         logger.info("daemon listening on %s:%d", host, port)
         try:

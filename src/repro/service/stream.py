@@ -30,6 +30,11 @@ Responses::
     {"id": 1, "ok": true, "kind": "solve", "from_cache": false,
      "seconds": 0.41, "result": {...PortfolioResult.to_dict()...}}
     {"id": 6, "ok": false, "error": "unknown request kind 'solv'"}
+    {"id": null, "ok": false, "error": "...", "reason": "request_too_large"}
+
+The last form answers a request line longer than the daemon's line
+limit; the daemon then closes the connection, since it cannot tell
+where the rest of that line ends.
 
 The program wire form round-trips :class:`repro.ir.program.Program`
 exactly (name, array declarations, loop nests with affine subscripts),
@@ -54,6 +59,10 @@ from repro.ir.loops import Loop, LoopNest
 from repro.ir.program import Program
 from repro.ir.reference import AccessKind, ArrayRef
 from repro.layout.layout import Layout
+
+
+#: ``reason`` of the reply to a request line over the daemon's limit.
+REQUEST_TOO_LARGE = "request_too_large"
 
 
 class ProtocolError(ValueError):
@@ -209,9 +218,12 @@ def encode_response(response: Mapping) -> bytes:
     return (json.dumps(response, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def error_response(request_id, message: str) -> dict:
+def error_response(request_id, message: str, reason: str | None = None) -> dict:
     """The error line for a failed or unparseable request."""
-    return {"id": request_id, "ok": False, "error": message}
+    response = {"id": request_id, "ok": False, "error": message}
+    if reason is not None:
+        response["reason"] = reason
+    return response
 
 
 def cache_lookup_request(fingerprint: str, token: str, request_id=None) -> dict:
@@ -496,6 +508,10 @@ class DaemonClient:
         deduplicated on the daemon).  When the member stays down and
         the client knows other members, the remainder fails over
         through them in address order.
+
+        Raises:
+            ProtocolError: when the daemon refuses a request line as
+                too large (never retried).
         """
         outstanding = {payload["id"]: payload for payload in payloads}
         collected: dict = {}
@@ -523,6 +539,11 @@ class DaemonClient:
                     )
                     while outstanding:
                         response = self._read_response(reader)
+                        if response.get("reason") == REQUEST_TOO_LARGE:
+                            # The daemon closes after this reply, and a
+                            # resend would be refused again: terminal.
+                            self._drop_connection(target)
+                            raise ProtocolError(response.get("error"))
                         response_id = response.get("id")
                         if response_id in outstanding:
                             del outstanding[response_id]

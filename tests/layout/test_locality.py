@@ -37,6 +37,39 @@ class TestAccessDelta:
         assert access_delta(ref, ORDER, INNER) == (0, 0)
 
 
+class TestAccessDeltaMemo:
+    """``access_delta`` is memoized by value, never by argument type."""
+
+    def test_list_and_tuple_arguments_agree(self):
+        ref = ArrayRef("Q1", (_i1 + _i2, _i2))
+        as_tuple = access_delta(ref, ORDER, INNER)
+        as_list = access_delta(ref, list(ORDER), list(INNER))
+        assert as_list == as_tuple == (1, 1)
+        assert isinstance(as_list, tuple)
+
+    def test_equal_references_share_one_entry(self):
+        from repro.layout.locality import _access_delta
+
+        order = ("i1", "i2", "memo_k")
+        first = ArrayRef("MEMO", (_i1 + _i2, AffineExpr.var("memo_k", 3)))
+        second = ArrayRef("MEMO", (_i1 + _i2, AffineExpr.var("memo_k", 3)))
+        assert first is not second and first == second
+        before = _access_delta.cache_info()
+        access_delta(first, order, (0, 0, 1))
+        middle = _access_delta.cache_info()
+        assert middle.misses == before.misses + 1
+        assert access_delta(second, list(order), [0, 0, 1]) == (0, 3)
+        after = _access_delta.cache_info()
+        assert after.misses == middle.misses
+        assert after.hits == middle.hits + 1
+
+    def test_unknown_index_raises_every_call(self):
+        ref = ArrayRef("Q", (_i1 + AffineExpr.var("k"),))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not in order"):
+                access_delta(ref, ORDER, INNER)
+
+
 class TestPreferredLayout:
     def test_paper_q1_diagonal(self):
         """The paper's worked example: Q1 wants (1 -1)."""

@@ -2,7 +2,9 @@
 
 import asyncio
 import json
+import logging
 import os
+import socket
 import threading
 import time
 
@@ -11,10 +13,16 @@ import pytest
 from repro.ir.parser import parse_program
 from repro.service.batch import run_batch
 from repro.service.cache import ShardedResultCache
-from repro.service.daemon import DaemonConfig, SolverDaemon
+from repro.service.daemon import MAX_REQUEST_BYTES, DaemonConfig, SolverDaemon
 from repro.service.evaluate import EvaluationRequest, run_evaluation_batch
 from repro.service.portfolio import PortfolioConfig, PortfolioResult
-from repro.service.stream import DaemonClient, evaluate_request, solve_request
+from repro.service.stream import (
+    REQUEST_TOO_LARGE,
+    DaemonClient,
+    ProtocolError,
+    evaluate_request,
+    solve_request,
+)
 
 #: Small, quick-to-solve programs (distinct fingerprints).
 _TEMPLATE = """
@@ -137,6 +145,41 @@ class TestProtocol:
         assert bad_model["ok"] is False
         assert bad_hierarchy["ok"] is False
         assert "warp_drive" in bad_hierarchy["error"]
+
+
+class TestFraming:
+    @staticmethod
+    def _oversized(request_id: int) -> dict:
+        return {"id": request_id, "kind": "ping", "pad": "x" * MAX_REQUEST_BYTES}
+
+    def test_oversized_line_is_answered_then_closed(self, harness, caplog):
+        caplog.set_level(logging.WARNING)
+        line = json.dumps(self._oversized(7)).encode() + b"\n"
+        assert len(line) > MAX_REQUEST_BYTES
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30.0)
+            sock.connect(harness.socket_path)
+            sock.sendall(line)
+            with sock.makefile("rb") as reader:
+                response = json.loads(reader.readline())
+                assert reader.readline() == b""  # closed cleanly
+        assert response["id"] is None
+        assert response["ok"] is False
+        assert response["reason"] == REQUEST_TOO_LARGE
+        assert str(MAX_REQUEST_BYTES) in response["error"]
+        # A second connection is still served.
+        with harness.client() as client:
+            assert client.ping()["ok"]
+            stats = client.stats()
+        assert stats["counters"]["errors"] == 1
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+    def test_client_treats_refusal_as_terminal(self, harness):
+        with harness.client() as client:
+            with pytest.raises(ProtocolError, match="exceeds"):
+                client.request(self._oversized(8))
+            # Refused once, not resent; the client reconnects on demand.
+            assert client.stats()["counters"]["errors"] == 1
 
 
 class TestServing:
