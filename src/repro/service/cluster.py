@@ -55,6 +55,7 @@ from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS
 from repro.obs.trace import NOOP_SPAN, Span
 from repro.opt.network_builder import BuildOptions
 from repro.service import stream
+from repro.service.daemon import MAX_REQUEST_BYTES, request_too_large_response
 from repro.service.portfolio import PortfolioConfig
 from repro.service.routing import (
     DEFAULT_VIRTUAL_NODES,
@@ -604,7 +605,9 @@ class ClusterRouter:
     async def serve_connection(self, reader, writer) -> None:
         """Serve one client connection until EOF or shutdown (same
         line discipline as the daemon: responses stream back in
-        completion order)."""
+        completion order, and a line over
+        :data:`~repro.service.daemon.MAX_REQUEST_BYTES` gets one
+        ``request_too_large`` reply, then a clean close)."""
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
 
@@ -628,7 +631,13 @@ class ClusterRouter:
 
         try:
             while not self._shutdown.is_set():
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # over the StreamReader line limit
+                    self.counters["requests"] += 1
+                    self.counters["errors"] += 1
+                    await respond(request_too_large_response())
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -638,7 +647,13 @@ class ClusterRouter:
                 except ProtocolError as exc:
                     self.counters["requests"] += 1
                     self.counters["errors"] += 1
-                    spawn(respond(stream.error_response(None, str(exc))))
+                    spawn(
+                        respond(
+                            stream.error_response(
+                                stream.best_effort_id(line), str(exc)
+                            )
+                        )
+                    )
                     continue
                 if payload["kind"] in ("solve", "evaluate"):
                     await self._semaphore().acquire()
@@ -661,11 +676,14 @@ class ClusterRouter:
         if parsed[0] == "unix":
             reclaim_stale_socket(parsed[1])
             server = await asyncio.start_unix_server(
-                self.serve_connection, path=parsed[1]
+                self.serve_connection, path=parsed[1], limit=MAX_REQUEST_BYTES
             )
         else:
             server = await asyncio.start_server(
-                self.serve_connection, host=parsed[1], port=parsed[2]
+                self.serve_connection,
+                host=parsed[1],
+                port=parsed[2],
+                limit=MAX_REQUEST_BYTES,
             )
         logger.info(
             "cluster router on %s fronting %d members",

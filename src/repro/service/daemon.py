@@ -22,7 +22,12 @@ disk, and exited.  The daemon keeps all of that resident:
   client's writes block -- flow control falls out of TCP/pipe
   semantics instead of an unbounded queue;
 * **in-flight deduplication**: concurrent identical misses (same
-  fingerprint and config token) share one worker dispatch.
+  fingerprint and config token) share one worker dispatch;
+* a **decode-free hit path**: a bounded memo maps the SHA-256 of a
+  request's canonical program wire form to its request fingerprint,
+  so a repeat solve answers from the cache without rebuilding the
+  :class:`~repro.ir.program.Program` (it is decoded on first sight,
+  and again only when the cache no longer holds the answer).
 
 The batch front end stays available -- ``run_batch(..., client=...)``
 turns it into a thin client of a running daemon.
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import hashlib
 import json
 import logging
 import multiprocessing
@@ -81,6 +87,16 @@ logger = logging.getLogger(__name__)
 #: ``StreamReader`` limit); a longer one is answered with a
 #: ``request_too_large`` error and the connection is closed.
 MAX_REQUEST_BYTES = 64 * 1024
+
+
+def request_too_large_response() -> dict:
+    """The one reply to a line over :data:`MAX_REQUEST_BYTES` (the
+    daemon and the cluster router close the connection after it)."""
+    return stream.error_response(
+        None,
+        f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+        reason=stream.REQUEST_TOO_LARGE,
+    )
 
 
 @dataclass(frozen=True)
@@ -170,7 +186,8 @@ _WORKER_STATE: dict | None = None
 
 
 class _BoundedMemo(OrderedDict):
-    """A tiny LRU mapping: the per-worker built-network memo."""
+    """A tiny LRU mapping: the per-worker built-network memo and the
+    daemon's wire memo."""
 
     def __init__(self, capacity: int):
         super().__init__()
@@ -374,6 +391,14 @@ class SolverDaemon:
         self._peer_connections: dict[str, tuple] = {}
         self._peer_locks: dict[str, asyncio.Lock] = {}
         self._peer_seq = 0
+        #: Wire memo: digest of a request's canonical program wire form
+        #: -> its request fingerprint, filled only once the wire decoded
+        #: and fingerprinted, so a repeat skips both.  Bounded like the
+        #: result cache itself (capacity per shard x shards).
+        self._wire_memo = _BoundedMemo(
+            self._daemon_config.cache_capacity * self._daemon_config.shards
+        )
+        self.wire_memo_counters = {"hits": 0, "misses": 0}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -446,7 +471,7 @@ class SolverDaemon:
             payload = stream.decode_request(line)
         except ProtocolError as exc:
             self.counters["errors"] += 1
-            request_id = _best_effort_id(line)
+            request_id = stream.best_effort_id(line)
             return stream.error_response(request_id, str(exc))
         return await self.handle_request(payload)
 
@@ -561,6 +586,10 @@ class SolverDaemon:
             "engines": dict(self.engine_counters),
             "split": dict(self.split_counters),
             "peer": dict(self.peer_counters),
+            "wire_memo": {
+                "entries": len(self._wire_memo),
+                **self.wire_memo_counters,
+            },
             "cache": {
                 "entries": len(self.cache),
                 **self.cache.stats.as_dict(),
@@ -636,6 +665,16 @@ class SolverDaemon:
                 {"event": event},
                 help="Cache-peering lookups by outcome (outbound "
                 "hit/miss/error, inbound lookups_served).",
+            ).inc(count)
+        for result, count in (
+            ("hit", self.wire_memo_counters["hits"]),
+            ("miss", self.wire_memo_counters["misses"]),
+        ):
+            registry.counter(
+                "repro_daemon_wire_memo_total",
+                {"result": result},
+                help="Solve/evaluate program wire forms found in (hit) or "
+                "missing from (miss) the wire-digest -> fingerprint memo.",
             ).inc(count)
         if hasattr(self.cache, "shard_stats"):
             shard_rows = self.cache.shard_stats()
@@ -740,14 +779,42 @@ class SolverDaemon:
                 response["trace"] = root.to_dict()
         return response
 
+    def _memo_lookup(self, wire) -> tuple[bytes | None, str | None]:
+        """The wire form's memo key and its memoized fingerprint (None
+        on a memo miss, or when the wire is no JSON value at all)."""
+        try:
+            encoded = json.dumps(wire, sort_keys=True, separators=(",", ":"))
+        except (TypeError, ValueError):
+            key = None  # never stored, so always a miss
+        else:
+            key = hashlib.sha256(encoded.encode()).digest()
+        fingerprint = self._wire_memo.get(key)
+        self.wire_memo_counters["misses" if fingerprint is None else "hits"] += 1
+        return key, fingerprint
+
+    def _fingerprint(
+        self, key: bytes | None, fingerprint: str | None, program: Program | None
+    ) -> str:
+        """The memoized fingerprint, or compute and memoize it from the
+        decoded ``program`` (so only a valid wire ever enters the memo)."""
+        if fingerprint is None:
+            fingerprint = request_fingerprint(program, self._options)
+            if key is not None:
+                self._wire_memo[key] = fingerprint
+        return fingerprint
+
     async def _handle_solve(self, payload: dict) -> dict:
         start = time.perf_counter()
         self.counters["solve"] += 1
         root = self._request_span(payload, "solve")
         with root.phase("decode"):
-            program = stream.program_from_wire(payload["program"])
+            wire = payload["program"]
+            key, fingerprint = self._memo_lookup(wire)
+            program = None
+            if fingerprint is None:
+                program = stream.program_from_wire(wire)
         with root.phase("fingerprint"):
-            fingerprint = request_fingerprint(program, self._options)
+            fingerprint = self._fingerprint(key, fingerprint, program)
             token = self._config.token()
         with root.phase("cache_lookup"):
             cached = self.cache.get(fingerprint, token)
@@ -760,7 +827,8 @@ class SolverDaemon:
             self.counters["cache_served"] += 1
             with root.phase("encode"):
                 result = dict(cached)
-                result["program"] = program.name  # may be a renamed twin
+                # May be a renamed twin; Program keeps its name verbatim.
+                result["program"] = wire["name"]
             response = {
                 "id": payload.get("id"),
                 "ok": True,
@@ -771,6 +839,9 @@ class SolverDaemon:
             if peer is not None:
                 response["peer"] = peer
             return self._finish(root, payload, response, start)
+        if program is None:  # memo hit whose answer left the cache
+            with root.phase("decode"):
+                program = stream.program_from_wire(wire)
         data = await self._dispatch(
             fingerprint, token, root, _worker_solve, program, fingerprint
         )
@@ -791,10 +862,12 @@ class SolverDaemon:
         self.counters["evaluate"] += 1
         root = self._request_span(payload, "evaluate")
         with root.phase("decode"):
-            program = stream.program_from_wire(payload["program"])
+            wire = payload["program"]
+            key, fingerprint = self._memo_lookup(wire)
+            program = stream.program_from_wire(wire)
             request = _evaluation_request(program, payload)
         with root.phase("fingerprint"):
-            fingerprint = request_fingerprint(program, self._options)
+            fingerprint = self._fingerprint(key, fingerprint, program)
             token = request.token(self._config.token())
         with root.phase("cache_lookup"):
             cached = self.cache.get(fingerprint, token)
@@ -1066,13 +1139,7 @@ class SolverDaemon:
             except ValueError:  # over the StreamReader line limit
                 self.counters["requests"] += 1
                 self.counters["errors"] += 1
-                await respond(
-                    stream.error_response(
-                        None,
-                        f"request line exceeds {MAX_REQUEST_BYTES} bytes",
-                        reason=stream.REQUEST_TOO_LARGE,
-                    )
-                )
+                await respond(request_too_large_response())
                 break
             if not line:  # EOF or shutdown
                 break
@@ -1083,7 +1150,7 @@ class SolverDaemon:
             except ProtocolError as exc:
                 self.counters["requests"] += 1
                 self.counters["errors"] += 1
-                spawn(respond(stream.error_response(_best_effort_id(line), str(exc))))
+                spawn(respond(stream.error_response(stream.best_effort_id(line), str(exc))))
                 continue
             if payload["kind"] in ("solve", "evaluate"):
                 if not await self._acquire_or_shutdown():
@@ -1216,17 +1283,6 @@ def _adopt_worker_spans(parent, data: dict) -> None:
         if payload:
             with contextlib.suppress(ValueError):
                 parent.adopt(payload)
-
-
-def _best_effort_id(line: str | bytes):
-    """Recover a request id from an invalid line, when possible."""
-    try:
-        payload = json.loads(line)
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if isinstance(payload, dict):
-        return payload.get("id")
-    return None
 
 
 def _evaluation_request(program: Program, payload: dict) -> EvaluationRequest:

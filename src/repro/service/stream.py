@@ -213,6 +213,17 @@ def decode_request(line: str | bytes) -> dict:
     return payload
 
 
+def best_effort_id(line: str | bytes):
+    """Recover a request id from an invalid line, when possible."""
+    try:
+        payload = json.loads(line)
+    except (ValueError, UnicodeDecodeError):
+        return None
+    if isinstance(payload, dict):
+        return payload.get("id")
+    return None
+
+
 def encode_response(response: Mapping) -> bytes:
     """One response line, newline-terminated, ready for the socket."""
     return (json.dumps(response, separators=(",", ":")) + "\n").encode("utf-8")

@@ -3,6 +3,7 @@
 import asyncio
 import contextlib
 import json
+import logging
 import os
 import socket
 import threading
@@ -13,11 +14,11 @@ import pytest
 from repro.ir.parser import parse_program
 from repro.obs.metrics import MetricsRegistry
 from repro.service.cluster import ClusterConfig, ClusterRouter
-from repro.service.daemon import DaemonConfig, SolverDaemon
+from repro.service.daemon import MAX_REQUEST_BYTES, DaemonConfig, SolverDaemon
 from repro.service.fingerprint import request_fingerprint
 from repro.service.portfolio import PortfolioConfig
 from repro.service.routing import HashRing
-from repro.service.stream import DaemonClient, solve_request
+from repro.service.stream import REQUEST_TOO_LARGE, DaemonClient, solve_request
 
 _TEMPLATE = """
 array Q1[{rows}][260]
@@ -279,6 +280,46 @@ class TestRouterWithFakeMembers:
             members[0].close()
         assert hello["result"]["role"] == "router"
         assert hello["result"]["members"] == [members[0].path]
+
+
+class TestRouterFraming:
+    def test_oversized_and_undecodable_lines_are_answered(
+        self, tmp_path, caplog
+    ):
+        caplog.set_level(logging.WARNING)
+        members = [_FakeMember(tmp_path, "m0")]
+        router = ClusterRouter(
+            ClusterConfig(members=(members[0].path,), replicas=1)
+        )
+        router_sock = str(tmp_path / "router.sock")
+        thread = _run_router(router, router_sock)
+        oversized = {"id": 7, "kind": "ping", "pad": "x" * MAX_REQUEST_BYTES}
+        try:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(30.0)
+                sock.connect(router_sock)
+                sock.sendall(json.dumps({"id": 41, "kind": "solv"}).encode())
+                sock.sendall(b"\n" + json.dumps(oversized).encode() + b"\n")
+                with sock.makefile("rb") as reader:
+                    # Replies stream in completion order, not line order.
+                    replies = [json.loads(reader.readline()) for _ in range(2)]
+                    assert reader.readline() == b""  # closed cleanly
+            with DaemonClient(router_sock) as client:
+                assert client.ping()["ok"]  # still serving
+                client.shutdown()
+        finally:
+            thread.join(timeout=15)
+            members[0].close()
+        too_large, undecodable = sorted(replies, key=lambda r: "reason" not in r)
+        assert undecodable["id"] == 41
+        assert undecodable["ok"] is False
+        assert "unknown request kind" in undecodable["error"]
+        assert too_large["id"] is None
+        assert too_large["ok"] is False
+        assert too_large["reason"] == REQUEST_TOO_LARGE
+        assert str(MAX_REQUEST_BYTES) in too_large["error"]
+        assert router.counters["errors"] == 2
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 class TestClientSideRouting:

@@ -4,23 +4,32 @@ import asyncio
 import json
 import logging
 import os
+import random
 import socket
 import threading
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bench.programs import random_suite
 from repro.ir.parser import parse_program
+from repro.opt.network_builder import BuildOptions
 from repro.service.batch import run_batch
 from repro.service.cache import ShardedResultCache
 from repro.service.daemon import MAX_REQUEST_BYTES, DaemonConfig, SolverDaemon
 from repro.service.evaluate import EvaluationRequest, run_evaluation_batch
+from repro.service.fingerprint import request_fingerprint
 from repro.service.portfolio import PortfolioConfig, PortfolioResult
 from repro.service.stream import (
     REQUEST_TOO_LARGE,
     DaemonClient,
     ProtocolError,
     evaluate_request,
+    program_from_wire,
+    program_to_wire,
     solve_request,
 )
 
@@ -239,6 +248,152 @@ class TestServing:
         assert stats["cache"]["entries"] == 1
         assert len(stats["cache"]["shards"]) == 2
         assert stats["uptime_seconds"] > 0
+
+
+def _shuffled(value, rng):
+    """``value`` with every object's keys re-inserted in random order
+    (arrays keep their order: it is part of the program)."""
+    if isinstance(value, dict):
+        keys = list(value)
+        rng.shuffle(keys)
+        return {key: _shuffled(value[key], rng) for key in keys}
+    if isinstance(value, list):
+        return [_shuffled(item, rng) for item in value]
+    return value
+
+
+class TestWireMemo:
+    @staticmethod
+    def _memo(harness) -> dict:
+        with harness.client() as client:
+            return client.stats()["wire_memo"]
+
+    def test_repeat_solve_is_cached_and_adds_no_entry(self, harness):
+        program = _program(520)
+        with harness.client() as client:
+            cold = client.solve(program)
+            after_cold = client.stats()["wire_memo"]
+            warm = client.solve(program)
+            after_warm = client.stats()["wire_memo"]
+        assert not cold["from_cache"] and warm["from_cache"]
+        assert warm["result"] == cold["result"]
+        assert after_cold == {"entries": 1, "hits": 0, "misses": 1}
+        assert after_warm == {"entries": 1, "hits": 1, "misses": 1}
+
+    def test_shuffled_wire_keys_hit_the_memo_and_the_cache(self, harness):
+        program = _program(520)
+        wire = program_to_wire(program)
+        shuffled = _shuffled(wire, random.Random(5))
+        assert json.dumps(shuffled) != json.dumps(wire)
+        with harness.client() as client:
+            cold = client.request({"kind": "solve", "program": wire})
+            warm = client.request({"kind": "solve", "program": shuffled})
+        assert warm["from_cache"]
+        assert warm["result"] == cold["result"]
+        assert self._memo(harness)["hits"] == 1
+        assert list(harness.daemon._wire_memo.values()) == [
+            request_fingerprint(program, BuildOptions())
+        ]
+
+    def test_renamed_twin_hits_under_its_own_name(self, harness):
+        with harness.client() as client:
+            client.solve(_program(520, name="original"))
+            first = client.solve(_program(520, name="twin"))
+            again = client.solve(_program(520, name="twin"))
+        assert first["from_cache"] and again["from_cache"]
+        assert first["result"]["program"] == "twin"
+        assert again["result"] == first["result"]
+        # Two wire forms (the names differ), one cache key.
+        assert self._memo(harness) == {"entries": 2, "hits": 1, "misses": 2}
+        assert len(set(harness.daemon._wire_memo.values())) == 1
+
+    def test_malformed_program_is_never_memoized(self, harness):
+        wire = program_to_wire(_program(520))
+        wire["arrays"][0][1] = ["wide", 260]
+        with harness.client() as client:
+            first = client.request({"kind": "solve", "program": wire})
+            second = client.request({"kind": "solve", "program": wire})
+        assert first["ok"] is False and second["ok"] is False
+        assert "malformed program payload" in first["error"]
+        assert second["error"] == first["error"]
+        assert self._memo(harness) == {"entries": 0, "hits": 0, "misses": 2}
+
+    def test_memo_is_bounded_by_the_cache_bound(self, tmp_path):
+        harness = _DaemonHarness(
+            tmp_path,
+            daemon_config=DaemonConfig(
+                workers=1, shards=2, cache_capacity=1, max_inflight=8
+            ),
+        )
+        try:
+            with harness.client() as client:
+                for index in range(4):
+                    assert client.solve(_program(520 + 2 * index))["ok"]
+                    assert client.stats()["wire_memo"]["entries"] <= 2
+        finally:
+            harness.stop()
+
+    def test_memo_hit_after_eviction_redispatches(self, harness):
+        program = _program(520)
+        with harness.client() as client:
+            cold = client.solve(program)
+            harness.daemon.cache.clear()
+            again = client.solve(program)
+            stats = client.stats()
+        assert not again["from_cache"]
+        assert again["result"]["exact"]
+        assert again["result"]["layouts"] == cold["result"]["layouts"]
+        assert stats["wire_memo"]["hits"] == 1
+        assert stats["cache"]["entries"] == 1
+
+    def test_non_json_wire_from_python_callers_is_served_unmemoized(self):
+        """``handle_request`` takes Python dicts, whose values need not
+        be JSON (here a Fraction extent): such a wire is decoded and
+        served as before, it just never enters the memo."""
+        request = solve_request(_program(520), request_id=3)
+        request["program"]["arrays"][0][1][0] = Fraction(520)
+        daemon = SolverDaemon(
+            config=_fast_config(),
+            daemon_config=DaemonConfig(workers=1, shards=1),
+        )
+        try:
+            response = asyncio.run(daemon.handle_request(request))
+        finally:
+            daemon.close()
+        assert response["ok"] and response["result"]["exact"]
+        assert daemon.stats()["wire_memo"] == {
+            "entries": 0,
+            "hits": 0,
+            "misses": 1,
+        }
+
+
+_RANDOM_PROGRAMS = random_suite(12, seed=3)
+
+
+class TestWireMemoProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        index=st.integers(0, len(_RANDOM_PROGRAMS) - 1),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_memo_fingerprint_equals_request_fingerprint(self, index, rng):
+        """Whatever key order a client sends, a memo hit yields exactly
+        the fingerprint a full decode would have."""
+        options = BuildOptions()
+        wire = program_to_wire(_RANDOM_PROGRAMS[index])
+        first, second = _shuffled(wire, rng), _shuffled(wire, rng)
+        daemon = SolverDaemon(config=_fast_config(), options=options)
+        try:
+            key, fingerprint = daemon._memo_lookup(first)
+            assert fingerprint is None
+            daemon._fingerprint(key, None, program_from_wire(first))
+            _, memoized = daemon._memo_lookup(second)
+        finally:
+            daemon.close()
+        assert memoized == request_fingerprint(
+            program_from_wire(second), options
+        )
 
 
 class TestShutdownSemantics:

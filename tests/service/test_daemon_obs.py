@@ -128,6 +128,25 @@ class TestRequestTraces:
         assert "cache_lookup" in names
         assert "dispatch" not in names
 
+    def test_traced_memo_hit_keeps_the_phase_vocabulary(self, harness):
+        """A wire-memo hit skips the program rebuild and the
+        fingerprint work, yet reports the same phases in the same
+        order: the digest and memo lookup are its decode phase."""
+        program = _program(305, "memo")
+        with harness.client() as client:
+            client.solve(program)
+            response = client.solve(program, trace=True)
+            memo = client.stats()["wire_memo"]
+        assert response["from_cache"]
+        assert memo["hits"] == 1
+        root = span_from_dict(response["trace"])
+        assert [child.name for child in root.children] == [
+            "decode",
+            "fingerprint",
+            "cache_lookup",
+            "encode",
+        ]
+
     def test_trace_log_tees_every_request(self, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         harness = _Harness(tmp_path, trace_log=str(trace_path))
