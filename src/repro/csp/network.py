@@ -157,10 +157,12 @@ class ConstraintNetwork:
         if second not in self._domains:
             raise KeyError(second)
         pair_set = frozenset((a, b) for a, b in pairs)
+        first_domain = set(self._domains[first])
+        second_domain = set(self._domains[second])
         for a, b in pair_set:
-            if a not in self._domains[first]:
+            if a not in first_domain:
                 raise ValueError(f"pair value {a!r} not in domain of {first}")
-            if b not in self._domains[second]:
+            if b not in second_domain:
                 raise ValueError(f"pair value {b!r} not in domain of {second}")
         key = frozenset((first, second))
         existing = self._constraints.get(key)

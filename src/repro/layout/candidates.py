@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from repro.ir.loops import LoopNest
 from repro.ir.program import Program
 from repro.layout.layout import Layout, standard_layouts
-from repro.layout.locality import access_delta, layout_for_deltas
+from repro.layout.locality import layout_for_deltas, matrix_delta
 from repro.transform.catalog import legal_transforms
 from repro.transform.unimodular_loop import LoopTransform
 
@@ -46,19 +46,20 @@ class LayoutCombo:
 
 
 def _combo_for_transform(
-    program: Program, nest: LoopNest, transform: LoopTransform
+    nest: LoopNest,
+    accesses: list[tuple[str, int, list[tuple[tuple[int, ...], ...]]]],
+    transform: LoopTransform,
 ) -> LayoutCombo:
-    """Preferred layouts of every array in the nest under one transform."""
+    """Preferred layouts of every array in the nest under one transform.
+
+    ``accesses`` lists, per array of the nest in name order, its rank
+    and the access matrices of its references.
+    """
     direction = transform.innermost_direction()
-    order = nest.index_order
     assignments: list[tuple[str, Layout]] = []
-    for array_name in sorted(nest.arrays()):
-        decl = program.array(array_name)
-        deltas = [
-            access_delta(reference, order, direction)
-            for reference in nest.references_to(array_name)
-        ]
-        layout = layout_for_deltas(deltas, decl.rank)
+    for array_name, rank, matrices in accesses:
+        deltas = [matrix_delta(matrix, direction) for matrix in matrices]
+        layout = layout_for_deltas(deltas, rank)
         if layout is not None:
             assignments.append((array_name, layout))
     return LayoutCombo(nest.name, transform.name, tuple(assignments))
@@ -90,8 +91,21 @@ def nest_layout_combos(
     if combos is None:
         combos = []
         seen: set[tuple[tuple[str, Layout], ...]] = set()
-        for transform in legal_transforms(nest, include_reversals, skew_factors):
-            combo = _combo_for_transform(program, nest, transform)
+        transforms = legal_transforms(nest, include_reversals, skew_factors)
+        order = nest.index_order
+        accesses = [
+            (
+                array_name,
+                program.array(array_name).rank,
+                [
+                    reference.access_matrix(order)
+                    for reference in nest.references_to(array_name)
+                ],
+            )
+            for array_name in sorted(nest.arrays())
+        ]
+        for transform in transforms:
+            combo = _combo_for_transform(nest, accesses, transform)
             if not combo.assignments:
                 continue
             if combo.assignments in seen:
@@ -121,22 +135,17 @@ def candidate_layouts_for_array(
     first, then any standard layouts not already present.
     """
     decl = program.array(array)
-    domain: list[Layout] = []
-
-    def push(layout: Layout) -> None:
-        if layout not in domain:
-            domain.append(layout)
-
+    domain: dict[Layout, None] = {}  # insertion-ordered set
     for nest in program.nests_referencing(array):
         for combo in nest_layout_combos(
             program, nest, include_reversals, skew_factors
         ):
             layout = combo.layout_of(array)
             if layout is not None:
-                push(layout)
+                domain[layout] = None
+    standard = standard_layouts(decl.rank)
     if include_standard:
-        for layout in standard_layouts(decl.rank):
-            push(layout)
+        domain.update(dict.fromkeys(standard))
     if not domain:
-        push(standard_layouts(decl.rank)[0])
-    return domain
+        domain[standard[0]] = None
+    return list(domain)

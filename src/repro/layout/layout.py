@@ -11,6 +11,7 @@ layout, the empty tuple of rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from repro.layout.hyperplane import Hyperplane
@@ -26,6 +27,13 @@ class Layout:
         dimension: the array rank ``k``.
         rows: ``k - 1`` canonical hyperplane vectors, most significant
             first.
+
+    Layouts are hashed and compared millions of times per optimize (as
+    domain values, constraint pairs and memo keys), so the hash is
+    computed once at construction.  It equals the dataclass hash of the
+    fields, ``hash((dimension, rows))``, so every set and dict keyed by
+    layouts iterates in the same order as with the generated hash.  The
+    stored hash never rides in a pickle: it is recomputed on load.
     """
 
     dimension: int
@@ -49,6 +57,29 @@ class Layout:
             raise ValueError("layout hyperplane rows must be linearly independent")
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "rows", canonical_rows)
+        object.__setattr__(self, "_hash", hash((dimension, canonical_rows)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.dimension == other.dimension
+            and self.rows == other.rows
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {"dimension": self.dimension, "rows": self.rows}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(
+            state, _hash=hash((state["dimension"], state["rows"]))
+        )
 
     @property
     def hyperplanes(self) -> tuple[Hyperplane, ...]:
@@ -122,12 +153,16 @@ def antidiagonal() -> Layout:
     return Layout(2, [(1, 1)])
 
 
+@lru_cache(maxsize=64)
 def standard_layouts(dimension: int) -> tuple[Layout, ...]:
     """The conventional candidates for an array rank.
 
     2-D arrays get the four layouts of Figure 1; higher ranks get
     row-major and column-major (richer candidates come from the
     locality analysis in :mod:`repro.layout.candidates`).
+
+    Interned: repeated calls for a rank return the same (immutable)
+    instances, so every domain derivation shares them.
     """
     if dimension == 1:
         return (Layout(1, []),)

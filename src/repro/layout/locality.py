@@ -17,8 +17,10 @@ for ``Q1[i1+i2][i2]`` with innermost direction ``(0 1)`` the delta is
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
+from repro.ir.loops import LoopNest
 from repro.ir.reference import ArrayRef
 from repro.layout.layout import Layout
 from repro.linalg.matrices import mat_vec, mat_transpose, rank
@@ -55,8 +57,53 @@ def _access_delta(
     return mat_vec(reference.access_matrix(index_order), direction)
 
 
+def matrix_delta(
+    matrix: Sequence[Sequence[int]], direction: Sequence[int]
+) -> tuple[int, ...]:
+    """The access delta ``A e`` from an access matrix already in hand.
+
+    Neither memoized nor shape-checked: callers take each reference's
+    matrix once per nest and ask for every legal restructuring's
+    direction, where hashing the reference for :func:`access_delta`
+    would cost more than the product itself.
+    """
+    return tuple([sum(map(mul, row, direction)) for row in matrix])
+
+
+def original_access_deltas(nest: LoopNest) -> tuple[tuple[int, ...], ...]:
+    """Access delta of every body reference under the nest's own order.
+
+    One row per reference of ``nest.body``, for one step of the
+    original innermost loop.  Memoized on the (immutable) nest, beside
+    its legal-transform catalog: inflation repair and transform
+    selection both score locality in the original loop order on every
+    optimize call.
+    """
+    deltas = nest.__dict__.get("_original_access_deltas")
+    if deltas is None:
+        direction = (0,) * (nest.depth - 1) + (1,)
+        order = nest.index_order
+        deltas = tuple(
+            matrix_delta(reference.access_matrix(order), direction)
+            for reference in nest.body
+        )
+        nest.__dict__["_original_access_deltas"] = deltas
+    return deltas
+
+
 def has_spatial_locality(layout: Layout, delta: Sequence[int]) -> bool:
-    """True iff every layout row annihilates the access delta."""
+    """True iff every layout row annihilates the access delta.
+
+    Memoized by value, like :func:`access_delta`: repair scores every
+    domain value against the same few deltas, and transform selection
+    asks again for every legal restructuring of every nest.
+    """
+    return _has_spatial_locality(layout, tuple(delta))
+
+
+@lru_cache(maxsize=16384)
+def _has_spatial_locality(layout: Layout, delta: tuple[int, ...]) -> bool:
+    """Cached core of :func:`has_spatial_locality`."""
     return all(dot(row, delta) == 0 for row in layout.rows)
 
 

@@ -69,22 +69,24 @@ class LayoutNetwork:
         weights: per-pair constraint weights (nest cost totals).
         combos: the per-nest layout combinations that generated it.
         notes: human-readable remarks (e.g. intersect fallbacks).
-        compiled: the execution-form kernel, compiled once at build
-            time so no consumer (one scheme, a whole racing portfolio,
-            the fingerprinter) ever pays recompilation.
     """
 
     network: ConstraintNetwork
     weights: dict[frozenset[str], float]
     combos: dict[str, list[LayoutCombo]]
     notes: list[str] = field(default_factory=list)
-    compiled: CompiledNetwork | None = None
 
     def kernel(self) -> CompiledNetwork:
-        """The compiled execution form (compiling lazily if unset)."""
-        if self.compiled is None:
-            self.compiled = compile_network(self.network)
-        return self.compiled
+        """The compiled execution form of the current ``network``.
+
+        :func:`~repro.csp.compiled.compile_network` caches the kernel on
+        the network keyed by its revision, so this is free after the
+        build's eager compile -- also in a worker that unpickled the
+        network, since the cached kernel pickles with it -- and a
+        network mutated after the build is recompiled, never served
+        stale.
+        """
+        return compile_network(self.network)
 
     def weighted(self) -> WeightedNetwork:
         """The network with its nest-cost weights attached."""
@@ -121,8 +123,10 @@ def build_layout_network(
         network.add_variable(array, domain)
 
     combos_by_nest: dict[str, list[LayoutCombo]] = {}
-    pair_sources: dict[frozenset[str], list[set[tuple[Layout, Layout]]]] = {}
-    pair_orientation: dict[frozenset[str], tuple[str, str]] = {}
+    # Keyed (first, second) with first < second: every nest visits its
+    # arrays in sorted order, so this is also each constraint's
+    # orientation.
+    pair_sources: dict[tuple[str, str], list[set[tuple[Layout, Layout]]]] = {}
     weights: dict[frozenset[str], float] = {}
     notes: list[str] = []
 
@@ -136,51 +140,44 @@ def build_layout_network(
         combos_by_nest[nest.name] = combos
         if not combos:
             continue
-        constrained = sorted(
-            {array for combo in combos for array in combo.arrays()}
-        )
-        nest_pairs: dict[frozenset[str], set[tuple[Layout, Layout]]] = {}
-        for combo in combos:
+        preferences = [dict(combo.assignments) for combo in combos]
+        constrained = sorted({array for prefs in preferences for array in prefs})
+        # An array a restructuring leaves free (temporal locality) is a
+        # *wildcard*: any layout in its domain is acceptable alongside
+        # the partner's preference under that restructuring.
+        wildcards = {array: network.domain(array) for array in constrained}
+        nest_pairs: dict[tuple[str, str], set[tuple[Layout, Layout]]] = {}
+        for prefs in preferences:
             for i, first in enumerate(constrained):
-                layout_first = combo.layout_of(first)
+                layout_first = prefs.get(first)
+                firsts = (
+                    (layout_first,)
+                    if layout_first is not None
+                    else wildcards[first]
+                )
                 for second in constrained[i + 1:]:
-                    layout_second = combo.layout_of(second)
-                    if layout_first is None and layout_second is None:
+                    layout_second = prefs.get(second)
+                    if layout_second is not None:
+                        seconds = (layout_second,)
+                    elif layout_first is None:
                         # This restructuring leaves both arrays free
                         # (temporal locality): it imposes nothing.
                         continue
-                    key = frozenset((first, second))
-                    pair_orientation.setdefault(key, (first, second))
-                    oriented = pair_orientation[key]
-                    # An array the restructuring leaves free (temporal
-                    # locality) is a *wildcard*: any layout in its
-                    # domain is acceptable alongside the partner's
-                    # preference under this restructuring.
-                    firsts = (
-                        [layout_first]
-                        if layout_first is not None
-                        else list(network.domain(first))
-                    )
-                    seconds = (
-                        [layout_second]
-                        if layout_second is not None
-                        else list(network.domain(second))
-                    )
-                    bucket = nest_pairs.setdefault(key, set())
+                    else:
+                        seconds = wildcards[second]
+                    bucket = nest_pairs.get((first, second))
+                    if bucket is None:
+                        bucket = nest_pairs[(first, second)] = set()
                     for value_first in firsts:
                         for value_second in seconds:
-                            pair = (
-                                (value_first, value_second)
-                                if oriented == (first, second)
-                                else (value_second, value_first)
-                            )
-                            bucket.add(pair)
+                            bucket.add((value_first, value_second))
+        cost = float(nest.estimated_cost)
         for key, pairs in nest_pairs.items():
             pair_sources.setdefault(key, []).append(pairs)
-            weights[key] = weights.get(key, 0.0) + float(nest.estimated_cost)
+            weight_key = frozenset(key)
+            weights[weight_key] = weights.get(weight_key, 0.0) + cost
 
-    for key, source_sets in pair_sources.items():
-        first, second = pair_orientation[key]
+    for (first, second), source_sets in pair_sources.items():
         if options.combine == "intersect" and len(source_sets) > 1:
             merged = set.intersection(*source_sets)
             if not merged:
@@ -193,6 +190,8 @@ def build_layout_network(
             merged = set.union(*source_sets)
         network.add_constraint(first, second, merged)
 
-    return LayoutNetwork(
-        network, weights, combos_by_nest, notes, compiled=compile_network(network)
-    )
+    # Compile eagerly: the kernel is cached on the network, so no
+    # consumer (one scheme, a whole racing portfolio, the fingerprinter)
+    # ever pays recompilation.
+    compile_network(network)
+    return LayoutNetwork(network, weights, combos_by_nest, notes)

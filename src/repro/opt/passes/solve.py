@@ -18,9 +18,9 @@ from repro.csp.weighted import BranchAndBoundSolver
 from repro.ir.program import Program
 from repro.layout.layout import Layout, row_major
 from repro.layout.locality import (
-    access_delta,
     has_spatial_locality,
     has_temporal_locality,
+    original_access_deltas,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -175,8 +175,14 @@ def repair_inflation(network, assignment: dict, program: Program) -> None:
     values = [
         kernel.value_index[i][assignment[name]] for i, name in enumerate(names)
     ]
+    temporal, spatial = _locality_sources(program)
     scores = [
-        _objective_vector(program, name, kernel.domains[i])
+        _objective_vector(
+            program.array(name),
+            temporal.get(name, 0),
+            spatial.get(name, {}),
+            kernel.domains[i],
+        )
         for i, name in enumerate(names)
     ]
     neighbor_supports = [
@@ -214,30 +220,42 @@ def repair_inflation(network, assignment: dict, program: Program) -> None:
             assignment[name] = value
 
 
+def _locality_sources(
+    program: Program,
+) -> tuple[dict[str, int], dict[str, dict[tuple[int, ...], int]]]:
+    """Per array, what its locality in the original loop order rests on.
+
+    ``(temporal, spatial)``: per array, the summed nest weight of its
+    references with temporal locality, and the summed nest weight per
+    nonzero access delta (references with equal deltas share one
+    entry).  One pass over the nests, on each nest's memoized deltas.
+    """
+    temporal: dict[str, int] = {}
+    spatial: dict[str, dict[tuple[int, ...], int]] = {}
+    for nest in program.nests:
+        weight = nest.weight
+        for reference, delta in zip(nest.body, original_access_deltas(nest)):
+            array = reference.array
+            if has_temporal_locality(delta):
+                temporal[array] = temporal.get(array, 0) + weight
+            else:
+                weights = spatial.setdefault(array, {})
+                weights[delta] = weights.get(delta, 0) + weight
+    return temporal, spatial
+
+
 def _objective_vector(
-    program: Program, array: str, domain
+    decl, temporal: int, spatial: dict[tuple[int, ...], int], domain
 ) -> list[tuple[float, int]]:
     """``(inflation, -locality)`` for every domain value of one array.
 
     Locality counts the nest weight of every reference with temporal
     locality, or with spatial locality under the value's layout, in the
-    original loop order; references with equal access deltas are scored
-    once, with their weights summed.
+    original loop order (``temporal`` and ``spatial`` come from
+    :func:`_locality_sources`).
     """
     from repro.layout.mapping import LayoutMapping
 
-    temporal = 0
-    spatial: dict[tuple[int, ...], int] = {}  # nonzero delta -> weight
-    for nest in program.nests_referencing(array):
-        direction = (0,) * (nest.depth - 1) + (1,)
-        order = nest.index_order
-        for reference in nest.references_to(array):
-            delta = access_delta(reference, order, direction)
-            if has_temporal_locality(delta):
-                temporal += nest.weight
-            else:
-                spatial[delta] = spatial.get(delta, 0) + nest.weight
-    decl = program.array(array)
     scores = []
     for layout in domain:
         locality = temporal

@@ -1,7 +1,10 @@
 """Unit tests for repro.layout.hyperplane and repro.layout.layout."""
 
+import json
+import pickle
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.layout.hyperplane import Hyperplane
@@ -13,6 +16,24 @@ from repro.layout.layout import (
     row_major,
     standard_layouts,
 )
+from repro.service.stream import layouts_from_wire, layouts_to_wire
+
+
+@st.composite
+def layouts(draw):
+    """A valid layout of rank 1..4 from small random rows."""
+    dimension = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=dimension, max_size=dimension),
+            min_size=dimension - 1,
+            max_size=dimension - 1,
+        )
+    )
+    try:
+        return Layout(dimension, rows)
+    except ValueError:  # zero or dependent rows
+        assume(False)
 
 
 class TestHyperplane:
@@ -116,3 +137,65 @@ class TestLayout:
     def test_standard_layouts_3d(self):
         layouts = standard_layouts(3)
         assert row_major(3) in layouts and column_major(3) in layouts
+
+
+class TestLayoutIdentity:
+    """The construction-time hash is the dataclass hash of the fields."""
+
+    @given(layouts(), st.integers(-5, 5).filter(bool))
+    @settings(max_examples=150)
+    def test_scaled_rows_equal_and_hash_equal(self, layout, factor):
+        scaled = Layout(
+            layout.dimension, [[factor * x for x in row] for row in layout.rows]
+        )
+        assert scaled == layout and layout == scaled
+        assert hash(scaled) == hash(layout)
+
+    def test_scaled_diagonal(self):
+        assert Layout(2, [(2, -2)]) == Layout(2, [(1, -1)])
+        assert hash(Layout(2, [(2, -2)])) == hash(Layout(2, [(1, -1)]))
+
+    @given(layouts())
+    @settings(max_examples=150)
+    def test_hash_is_field_tuple_hash(self, layout):
+        assert hash(layout) == hash((layout.dimension, layout.rows))
+
+    @given(layouts(), layouts())
+    @settings(max_examples=150)
+    def test_equality_is_field_equality(self, first, second):
+        same_fields = (first.dimension, first.rows) == (second.dimension, second.rows)
+        assert (first == second) == same_fields
+        assert (first != second) == (not same_fields)
+
+    def test_not_equal_to_other_types(self):
+        assert row_major(2) != (2, ((1, 0),))
+        assert row_major(2) != "row-major"
+
+    @given(layouts())
+    @settings(max_examples=100)
+    def test_pickle_round_trip_carries_no_memo(self, layout):
+        payload = pickle.dumps(layout)
+        restored = pickle.loads(payload)
+        assert restored == layout and hash(restored) == hash(layout)
+        assert restored.rows == layout.rows
+        assert layout.__getstate__() == {
+            "dimension": layout.dimension,
+            "rows": layout.rows,
+        }
+        assert b"_hash" not in payload
+
+    @given(layouts())
+    @settings(max_examples=100)
+    def test_wire_form_carries_no_memo(self, layout):
+        wire = layouts_to_wire({"A": layout})
+        assert set(wire["A"]) == {"dimension", "rows"}
+        assert "_hash" not in json.dumps(wire)
+        restored = layouts_from_wire(json.loads(json.dumps(wire)))["A"]
+        assert restored == layout and hash(restored) == hash(layout)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_standard_layouts_interned(self, rank):
+        first = standard_layouts(rank)
+        again = standard_layouts(rank)
+        assert all(a is b for a, b in zip(first, again))
+        assert len(first) == len(again)

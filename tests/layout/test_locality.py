@@ -1,6 +1,8 @@
 """Unit tests for repro.layout.locality -- the Section 2 equations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir.expr import AffineExpr
 from repro.ir.reference import ArrayRef
@@ -10,8 +12,11 @@ from repro.layout.locality import (
     has_spatial_locality,
     has_temporal_locality,
     layout_for_deltas,
+    matrix_delta,
+    original_access_deltas,
     preferred_layout,
 )
+from repro.linalg.vectors import dot
 
 _i1 = AffineExpr.var("i1")
 _i2 = AffineExpr.var("i2")
@@ -108,6 +113,63 @@ class TestSpatialTemporalPredicates:
     def test_temporal(self):
         assert has_temporal_locality((0, 0))
         assert not has_temporal_locality((0, 1))
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=2, max_size=2).filter(any),
+        st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+    )
+    @settings(max_examples=200)
+    def test_memoized_spatial_matches_definition(self, row, delta):
+        layout = Layout(2, [row])
+        expected = all(dot(r, delta) == 0 for r in layout.rows)
+        assert has_spatial_locality(layout, delta) == expected
+        assert has_spatial_locality(layout, tuple(delta)) == expected
+
+    @given(
+        st.sampled_from([row_major(3), column_major(3), Layout(3, [(1, -1, 0), (0, 1, 1)])]),
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    )
+    @settings(max_examples=150)
+    def test_memoized_spatial_matches_definition_3d(self, layout, delta):
+        expected = all(dot(r, delta) == 0 for r in layout.rows)
+        assert has_spatial_locality(layout, delta) == expected
+
+    def test_spatial_length_mismatch_raises_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                has_spatial_locality(row_major(2), (1, 0, 0))
+
+
+class TestOriginalAccessDeltas:
+    def test_one_row_per_reference_in_body_order(self):
+        from repro.ir.parser import parse_program
+
+        program = parse_program(
+            """
+            array Q1[520][260]
+            array Q2[520][260]
+            nest fig2 { for i1 = 0 .. 259 { for i2 = 0 .. 259 { Q1[i1+i2][i2] = Q2[i1+i2][i1] } } }
+            """
+        )
+        nest = program.nests[0]
+        deltas = original_access_deltas(nest)
+        assert deltas == tuple(
+            access_delta(reference, nest.index_order, INNER)
+            for reference in nest.body
+        )
+        assert original_access_deltas(nest) is deltas  # memoized on the nest
+
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+    @settings(max_examples=100)
+    def test_matrix_delta_matches_access_delta(self, direction):
+        for ref in (
+            ArrayRef("Q1", (_i1 + _i2, _i2)),
+            ArrayRef("Q2", (_i1 + _i2, _i1)),
+            ArrayRef("Q", (_i1, _i1)),
+        ):
+            assert matrix_delta(ref.access_matrix(ORDER), direction) == (
+                access_delta(ref, ORDER, direction)
+            )
 
 
 class TestLayoutForDeltas:

@@ -146,3 +146,43 @@ class TestErrors:
         source = "array A[4][4]"
         with pytest.raises(ValueError):
             build_layout_network(parse_program(source))
+
+
+class TestKernel:
+    """``LayoutNetwork.kernel()`` always reflects the current network."""
+
+    def test_kernel_follows_network_mutation(self):
+        from repro.bench.programs import benchmark_build_options, build_benchmark
+        from repro.csp.compiled import compile_network
+
+        built = build_layout_network(
+            build_benchmark("MxM"), benchmark_build_options()
+        )
+        kernel = built.kernel()
+        assert built.kernel() is kernel  # compiled once, at build time
+        constraint = built.network.constraints[0]
+        pair = min(constraint.pairs, key=repr)
+        built.network.add_constraint(constraint.first, constraint.second, [pair])
+
+        fresh = built.kernel()
+        assert fresh is not kernel
+        assert fresh is compile_network(built.network)
+        i = fresh.index_of[constraint.first]
+        j = fresh.index_of[constraint.second]
+        a = fresh.value_index[i][pair[0]]
+        b = fresh.value_index[j][pair[1]]
+        expected = [0] * len(fresh.domains[i])
+        expected[a] = 1 << b
+        assert list(fresh.supports[(i, j)]) == expected
+
+    def test_pickled_network_keeps_its_kernel(self):
+        import pickle
+
+        built = build_layout_network(parse_program(FIGURE2))
+        kernel = built.kernel()
+        restored = pickle.loads(pickle.dumps(built))
+        _, shipped = restored.network._compiled_cache
+        restored_kernel = restored.kernel()
+        assert restored_kernel is shipped  # reused, not recompiled
+        assert restored_kernel.supports == kernel.supports
+        assert restored_kernel.names == kernel.names
