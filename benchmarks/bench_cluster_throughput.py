@@ -15,10 +15,8 @@ On hosts with fewer than 4 cores the wall-clock gate is meaningless
 to a *modeled* critical-path speedup: the single-daemon wall clock
 divided by the busiest member's share of the *uncontended* per-request
 solve seconds (partitioned by ring owner) -- the time the routed
-schedule takes on real cores.  This mirrors the split-search
-benchmark's modeled gate, which uses per-subtree CPU seconds for the
-same reason: concurrent wall clocks on an oversubscribed host
-overlap and cannot be summed.
+schedule takes on real cores: concurrent wall clocks on an
+oversubscribed host overlap and cannot be summed.
 
 Environment knobs:
 
@@ -59,12 +57,9 @@ REQUIRED_SPEEDUP = 1.8
 FILLER = int(os.environ.get("REPRO_BENCH_CLUSTER_FILLER", "10"))
 GATE = os.environ.get("REPRO_BENCH_CLUSTER_GATE", "1") != "0"
 
-#: Deterministic single-scheme portfolio: cluster and single-daemon
-#: runs must produce identical layouts for the byte-parity check, so
-#: no parallel racing (whose winner could be timing-dependent).
-CONFIG = PortfolioConfig(
-    schemes=("enhanced",), parallel=False, seed=HARNESS_SEED
-)
+#: Single-scheme portfolio: cluster and single-daemon runs must
+#: produce identical layouts for the byte-parity check.
+CONFIG = PortfolioConfig(schemes=("enhanced",), seed=HARNESS_SEED)
 
 
 def _batch_programs(programs):

@@ -30,7 +30,7 @@ from repro.service.stream import DaemonClient
 
 from benchmarks.conftest import HARNESS_SEED
 
-#: The racing line-up measured here (matches bench_service_throughput).
+#: The ladder measured here (matches bench_service_throughput).
 PORTFOLIO = ("enhanced", "cbj", "weighted")
 
 #: Cold-batch worker-pool size (``REPRO_BENCH_WORKERS`` trims CI runs;

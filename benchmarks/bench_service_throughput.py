@@ -2,7 +2,7 @@
 
 Not a paper table -- this measures the PR's serving architecture on the
 paper's workload: the five Table 1 programs (plus synthetic filler)
-pushed through ``repro.service.run_batch`` with a racing portfolio and
+pushed through ``repro.service.run_batch`` with a portfolio ladder and
 a shared result cache.  Reported shape: the warm-cache batch must be
 orders of magnitude faster than the cold batch (every program served
 from the fingerprint-keyed cache), and cold-batch throughput should
@@ -20,7 +20,7 @@ from repro.service import PortfolioConfig, ResultCache, run_batch
 
 from benchmarks.conftest import HARNESS_SEED
 
-#: The racing line-up measured here (the acceptance-criteria set).
+#: The ladder measured here (the acceptance-criteria set).
 PORTFOLIO = ("enhanced", "cbj", "weighted")
 
 #: Worker-pool sizes for the cold batch; ``REPRO_BENCH_WORKERS=2``
@@ -37,7 +37,7 @@ def _batch_programs(programs):
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_cold_batch_throughput(benchmark, workers, programs, build_options):
-    """Cold-cache batch: every program races the full portfolio."""
+    """Cold-cache batch: every program runs the full portfolio ladder."""
     batch = _batch_programs(programs)
     config = PortfolioConfig(schemes=PORTFOLIO, seed=HARNESS_SEED)
     report_holder = {}

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Service demo: racing portfolio + result cache over a small batch.
+"""Service demo: portfolio ladder + result cache over a small batch.
 
 Serves the MxM benchmark and a handful of synthetic programs through
-the portfolio solver twice: the first batch races the schemes (one
-process each, first exact winner takes the program), the second batch
-is served entirely from the result cache.  The same flow is available
+the portfolio solver twice: the first batch runs the scheme ladder
+(schemes in priority order, the first exact answer takes the
+program), the second batch is served entirely from the result cache.  The same flow is available
 from the command line as ``python -m repro.service``.
 
 Run:  python examples/service_demo.py

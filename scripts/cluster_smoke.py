@@ -24,7 +24,7 @@ and asserts the routing contract end to end:
 Usage::
 
     python -m repro.service --serve-cluster 3 --socket /tmp/cluster.sock \
-        --portfolio enhanced --sequential --workers 1 &
+        --portfolio enhanced --workers 1 &
     python scripts/cluster_smoke.py /tmp/cluster.sock
     wait  # the smoke script asks the cluster to shut down when done
 
@@ -51,11 +51,9 @@ from repro.service.routing import HashRing
 from repro.service.stream import DaemonClient, evaluate_request, solve_request
 
 #: Must match the portfolio the CI job starts the cluster with
-#: (``--portfolio enhanced --sequential``): byte parity compares two
-#: *independent* solves, so the winner must be timing-independent.
-CONFIG = PortfolioConfig.parse(
-    "enhanced", seed=0, deadline_seconds=120.0, parallel=False
-)
+#: (``--portfolio enhanced``): byte parity compares two *independent*
+#: solves of the same request.
+CONFIG = PortfolioConfig.parse("enhanced", seed=0, deadline_seconds=120.0)
 
 #: Cluster metric series that must appear in the rolled-up scrape.
 REQUIRED_SERIES = (

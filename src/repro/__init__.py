@@ -23,8 +23,8 @@ Quickstart::
     for array, layout in outcome.layouts.items():
         print(array, layout.describe())
 
-For production-style serving -- many programs, racing solver
-portfolios, result caching -- see :mod:`repro.service` and the batch
+For production-style serving -- many programs, solver portfolio
+ladders, result caching -- see :mod:`repro.service` and the batch
 CLI ``python -m repro.service`` (README.md has a walkthrough).
 
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the

@@ -6,7 +6,9 @@
   representation).
 * :mod:`repro.csp.compiled` -- the *execution* representation: dense
   integer indices and per-value support bitmasks; every solver below
-  runs its inner loop on this kernel.
+  runs its inner loop on this kernel.  Its ``enumerate_solutions`` is
+  the deterministic, depth-first top-k enumeration (it stops at
+  ``limit``) that the refine and joint passes draw alternatives from.
 * :mod:`repro.csp.vectorized` -- the numpy *acceleration* tier: dense
   support matrices and batched array operations behind every solver's
   ``engine="bitset" | "numpy" | "auto"`` knob, parity-preserving
@@ -23,11 +25,6 @@
   sharper jump rule than the graph-based one, provided as an extension).
 * :mod:`repro.csp.forward_checking` -- forward-checking solver
   (extension beyond the paper).
-* :mod:`repro.csp.splitsearch` -- space-splitting parallel search:
-  the forward-checking space is expanded to a branch frontier, the
-  subtrees race across a warm worker pool with work stealing, and a
-  deterministic merge keeps results byte-identical to the serial
-  solver regardless of worker count or steal order.
 * :mod:`repro.csp.arc_consistency` -- AC-3 preprocessing.
 * :mod:`repro.csp.minconflicts` -- min-conflicts local search.
 * :mod:`repro.csp.weighted` -- weighted networks and branch-and-bound
@@ -51,15 +48,6 @@ from repro.csp.backtracking import BacktrackingSolver
 from repro.csp.enhanced import EnhancedSolver, EnhancementConfig
 from repro.csp.backjumping import ConflictDirectedSolver
 from repro.csp.forward_checking import ForwardCheckingSolver
-from repro.csp.splitsearch import (
-    SEARCH_AUTO,
-    SEARCH_SERIAL,
-    SEARCH_SPLIT,
-    SplitSearchSolver,
-    SplitStats,
-    enumerate_solutions_parallel,
-    resolve_search,
-)
 from repro.csp.arc_consistency import ac3, ArcConsistencyResult
 from repro.csp.minconflicts import MinConflictsSolver
 from repro.csp.weighted import WeightedNetwork, BranchAndBoundSolver
@@ -83,13 +71,6 @@ __all__ = [
     "EnhancementConfig",
     "ConflictDirectedSolver",
     "ForwardCheckingSolver",
-    "SEARCH_AUTO",
-    "SEARCH_SERIAL",
-    "SEARCH_SPLIT",
-    "SplitSearchSolver",
-    "SplitStats",
-    "enumerate_solutions_parallel",
-    "resolve_search",
     "ac3",
     "ArcConsistencyResult",
     "MinConflictsSolver",

@@ -25,8 +25,8 @@ Compilation is cached on the network (keyed by its mutation revision,
 so a network extended after compilation recompiles transparently) and
 round-trips back to named assignments at the boundary via
 :meth:`CompiledNetwork.to_named` / :meth:`CompiledNetwork.to_indices`.
-The kernel is picklable, which is how the service layer ships one
-compiled form to every racing worker process.
+The kernel is picklable, so a compiled form can cross a process
+boundary without recompiling.
 """
 
 from __future__ import annotations

@@ -202,7 +202,7 @@ class SearchEngine:
 
         Expiry ends the search with ``complete=False``, exactly like an
         exhausted node budget; the portfolio propagates its remaining
-        race budget here so a losing scheme stops promptly.
+        budget here so a stuck rung stops promptly.
         """
         self._deadline_seconds = max(0.0, seconds)
 

@@ -68,8 +68,7 @@ class ForwardCheckingSolver:
     Complete: a ``None`` result with ``complete=True`` proves
     unsatisfiability.  A ``max_nodes`` budget or a deadline (see
     :meth:`set_deadline`) cuts the search short with ``complete=False``
-    instead -- the split-search seam uses the budget for its ``auto``
-    serial attempt, and subtree workers use the deadline.
+    instead.
     """
 
     name = "forward-checking"
@@ -95,34 +94,11 @@ class ForwardCheckingSolver:
     def solve(self, network: ConstraintNetwork | CompiledNetwork) -> SolverResult:
         """Find one solution (or prove there is none)."""
         kernel = as_compiled(network)
-        return self.solve_from(
-            kernel,
-            [None] * kernel.variable_count,
-            list(kernel.full_masks),
-            0,
-        )
-
-    def solve_from(
-        self,
-        network: ConstraintNetwork | CompiledNetwork,
-        values: list[int | None],
-        domains: list[int],
-        assigned: int,
-        deadline_at: float | None = None,
-    ) -> SolverResult:
-        """Resume the search from a snapshot (values + domain masks).
-
-        The split-search subtree workers enter here: forward-checking
-        state depends only on the decision prefix, so searching from a
-        frontier snapshot is byte-identical to the serial search's walk
-        of that subtree.  ``deadline_at`` is an absolute
-        ``time.monotonic()`` timestamp overriding :meth:`set_deadline`.
-        """
-        kernel = as_compiled(network)
+        values: list[int | None] = [None] * kernel.variable_count
+        domains = list(kernel.full_masks)
+        assigned = 0
         resolved = resolve_engine(self._engine, kernel)
-        if deadline_at is not None:
-            self._deadline_at = deadline_at
-        elif self._deadline_seconds is not None:
+        if self._deadline_seconds is not None:
             self._deadline_at = time.monotonic() + self._deadline_seconds
         else:
             self._deadline_at = None

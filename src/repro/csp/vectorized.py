@@ -68,7 +68,7 @@ ENGINES = (ENGINE_AUTO, ENGINE_BITSET, ENGINE_NUMPY, ENGINE_NATIVE)
 
 #: Environment override consulted by ``engine="auto"`` resolution; set
 #: to ``bitset``, ``numpy`` or ``native`` to force one engine
-#: process-wide (the service CLI's ``--engine`` writes this so racing
+#: process-wide (the service CLI's ``--engine`` writes this so pool
 #: worker processes inherit the choice).
 ENGINE_ENV = "REPRO_CSP_ENGINE"
 

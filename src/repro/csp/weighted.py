@@ -139,8 +139,8 @@ class BranchAndBoundSolver:
     ) -> WeightedResult:
         """Solve directly on a compiled kernel plus a name-keyed weight map.
 
-        This is the path the service layer uses: the race ships one
-        compiled kernel to every worker, so no worker rebuilds a
+        This is the path the service layer uses: every ladder rung
+        solves one compiled kernel, so no rung rebuilds a
         :class:`WeightedNetwork` (or recompiles) just to attach weights.
 
         Raises:

@@ -191,7 +191,7 @@ def build_layout_network(
         network.add_constraint(first, second, merged)
 
     # Compile eagerly: the kernel is cached on the network, so no
-    # consumer (one scheme, a whole racing portfolio, the fingerprinter)
+    # consumer (one scheme, a whole portfolio ladder, the fingerprinter)
     # ever pays recompilation.
     compile_network(network)
     return LayoutNetwork(network, weights, combos_by_nest, notes)

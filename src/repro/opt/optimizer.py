@@ -3,7 +3,7 @@
 ``LayoutOptimizer`` no longer interleaves the paper's phases in one
 monolithic method: each phase is a first-class pass in
 :mod:`repro.opt.passes` (build the network, solve it with the chosen
-scheme or racing portfolio, repair the solution, pick per-nest loop
+scheme or portfolio ladder, repair the solution, pick per-nest loop
 restructurings, optionally refine against a cost model), and the
 façade's job is to assemble the default pipeline -- byte-identical
 outcomes to the historical monolith -- or any custom one via the
@@ -32,11 +32,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.csp.enhanced import EnhancedSolver, EnhancementConfig
-from repro.csp.splitsearch import (
-    SEARCH_AUTO,
-    SEARCHES,
-    SplitSearchSolver,
-)
 from repro.csp.stats import SolverStats
 from repro.ir.program import Program
 from repro.layout.layout import Layout
@@ -101,15 +96,14 @@ class LayoutOptimizer:
 
     Args:
         scheme: "base", "enhanced", "cbj", "forward-checking",
-            "min-conflicts", "split" (space-splitting parallel search
-            over the forward-checking frontier), "weighted" (branch &
-            bound over the nest-cost weighted network), an
-            :class:`EnhancementConfig`
+            "min-conflicts", "weighted" (branch & bound over the
+            nest-cost weighted network), an :class:`EnhancementConfig`
             for per-enhancement ablation runs, or a *portfolio
             strategy*: the string ``"portfolio:enhanced,cbj,weighted"``
-            (or a :class:`repro.service.PortfolioConfig`) races the
-            named schemes concurrently and the outcome's ``scheme``
-            field reports which one won, e.g. ``"portfolio:cbj"``.
+            (or a :class:`repro.service.PortfolioConfig`) tries the
+            named schemes in order until one answers exactly, and the
+            outcome's ``scheme`` field reports which one won, e.g.
+            ``"portfolio:cbj"``.
         seed: RNG seed for the randomized schemes.  Threaded into the
             ``"portfolio:..."`` string forms; a ``PortfolioConfig``
             instance carries its own seed, which takes precedence.
@@ -124,15 +118,6 @@ class LayoutOptimizer:
             outcome's ``cost`` and ``refinement`` fields carry the
             evidence.  ``None`` (default) keeps the classic behavior.
         refine_top_k: how many enumerated solutions to score.
-        search: search-space execution mode, threaded into the
-            ``"split"`` scheme and the refinement enumeration:
-            ``"serial"``, ``"split"``, or ``"auto"`` (default; the
-            split solver escalates only after its serial budget).
-            When the mode resolves to ``"split"`` (explicitly or via
-            ``REPRO_CSP_SEARCH``), refinement candidates stream from
-            :func:`repro.csp.splitsearch.enumerate_solutions_parallel`
-            -- the frontier is enumerated lazily across worker
-            processes and stops at ``refine_top_k`` solutions.
         passes: override the default pass list: a sequence mixing
             registered pass names (``"build"``, ``"solve"``,
             ``"repair"``, ``"transform"``, ``"refine"``, ``"joint"``,
@@ -146,7 +131,7 @@ class LayoutOptimizer:
 
     Raises:
         ValueError: for an unknown scheme name, unknown refine model,
-            unknown search mode, non-positive ``refine_top_k``,
+            non-positive ``refine_top_k``,
             unknown pass names, or ``passes`` combined with
             ``pipeline``.
     """
@@ -158,15 +143,9 @@ class LayoutOptimizer:
         options: BuildOptions | None = None,
         refine=None,
         refine_top_k: int = 8,
-        search: str = SEARCH_AUTO,
         passes=None,
         pipeline=None,
     ):
-        if search not in SEARCHES:
-            raise ValueError(
-                f"unknown search {search!r}; pick one of {SEARCHES}"
-            )
-        self._search = search
         self._seed = seed
         self._portfolio = None
         self._portfolio_solver = None
@@ -184,12 +163,7 @@ class LayoutOptimizer:
                     f"unknown scheme {scheme!r}; pick one of {sorted(_SCHEMES)}"
                 )
             self._scheme_name = scheme
-            if scheme == "split":
-                # Thread the search mode through (the registry factory
-                # keeps the solver's own default for other callers).
-                self._solver = SplitSearchSolver(seed=seed, search=search)
-            else:
-                self._solver = _SCHEMES[scheme](seed)
+            self._solver = _SCHEMES[scheme](seed)
         self._options = options if options is not None else BuildOptions()
         if refine_top_k <= 0:
             raise ValueError("refine_top_k must be positive")
@@ -248,11 +222,6 @@ class LayoutOptimizer:
         return self._refine_top_k
 
     @property
-    def search(self) -> str:
-        """The configured search-space execution mode."""
-        return self._search
-
-    @property
     def portfolio_config(self):
         """The portfolio configuration (None for direct schemes)."""
         return self._portfolio
@@ -263,7 +232,7 @@ class LayoutOptimizer:
         return self._pipeline
 
     def portfolio_solver(self):
-        """The racing portfolio solver, built once and kept warm.
+        """The portfolio ladder solver, built once and kept warm.
 
         Resident processes (the service daemon's warm workers) keep
         optimizers alive across requests, and rebuilding the portfolio
@@ -329,7 +298,6 @@ def shared_optimizer(
     options: BuildOptions | None = None,
     refine=None,
     refine_top_k: int = 8,
-    search: str = SEARCH_AUTO,
 ) -> LayoutOptimizer:
     """A process-shared, reusable :class:`LayoutOptimizer`.
 
@@ -346,14 +314,14 @@ def shared_optimizer(
     if refine is not None and not isinstance(refine, str):
         return LayoutOptimizer(
             scheme=scheme, seed=seed, options=options,
-            refine=refine, refine_top_k=refine_top_k, search=search,
+            refine=refine, refine_top_k=refine_top_k,
         )
-    key = (repr(scheme), seed, repr(options), refine, refine_top_k, search)
+    key = (repr(scheme), seed, repr(options), refine, refine_top_k)
     optimizer = _SHARED_OPTIMIZERS.get(key)
     if optimizer is None:
         optimizer = LayoutOptimizer(
             scheme=scheme, seed=seed, options=options,
-            refine=refine, refine_top_k=refine_top_k, search=search,
+            refine=refine, refine_top_k=refine_top_k,
         )
         if len(_SHARED_OPTIMIZERS) >= _SHARED_OPTIMIZERS_CAP:
             _SHARED_OPTIMIZERS.popitem(last=False)

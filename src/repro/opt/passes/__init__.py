@@ -1,7 +1,7 @@
 """First-class optimizer passes.
 
 The paper's pipeline as composable objects: build the constraint
-network, solve it (scheme or racing portfolio), repair the solution,
+network, solve it (scheme or portfolio ladder), repair the solution,
 pick loop restructurings -- plus the stages the monolithic façade
 could never host: joint layout x transform search and dynamic layout
 planning.  :mod:`repro.opt.passes.base` holds the substrate
@@ -39,16 +39,13 @@ register_pass("repair", lambda optimizer: RepairInflationPass(optimizer))
 register_pass("transform", lambda optimizer: TransformSelectionPass(optimizer))
 register_pass(
     "refine",
-    lambda optimizer: RefinementPass(
-        optimizer.refine, optimizer.refine_top_k, optimizer.search
-    ),
+    lambda optimizer: RefinementPass(optimizer.refine, optimizer.refine_top_k),
 )
 register_pass(
     "joint",
     lambda optimizer: JointSearchPass(
         model=optimizer.refine,
         top_k=optimizer.refine_top_k,
-        search=optimizer.search,
     ),
 )
 register_pass("dynamic", lambda optimizer: DynamicLayoutPass())

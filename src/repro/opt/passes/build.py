@@ -12,8 +12,8 @@ class BuildNetworkPass:
 
     On the portfolio path this is a no-op: :class:`SolvePass` delegates
     to the service layer's :class:`~repro.service.PortfolioSolver`,
-    which builds (and memoizes) its own networks so racing workers and
-    the result cache share one construction.
+    which builds (and memoizes) its own networks so its ladder rungs
+    and the result cache share one construction.
     """
 
     name = "build"

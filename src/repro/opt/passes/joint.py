@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 
-from repro.csp.splitsearch import SEARCH_AUTO, SEARCH_SPLIT, resolve_search
 from repro.layout.layout import Layout, row_major
 from repro.obs import trace as obs_trace
 from repro.opt.passes.base import PipelineContext
@@ -45,9 +44,8 @@ class JointSearchPass:
             ``refine`` model through, so ``refine="simulated"`` makes
             the joint search simulator-guided.
         top_k: how many enumerated layout alternatives to consider
-            beside the solver's own answer.
-        search: ``"serial"``/``"split"``/``"auto"`` -- split streams
-            the alternatives from the parallel frontier enumerator.
+            beside the solver's own answer (from the deterministic
+            serial enumerator, which stops at ``top_k``).
         max_sweeps: coordinate-descent sweeps over the nests per
             candidate (each sweep re-visits every nest; descent stops
             early when a sweep changes nothing).
@@ -66,7 +64,6 @@ class JointSearchPass:
         self,
         model=None,
         top_k: int = 8,
-        search: str = SEARCH_AUTO,
         max_sweeps: int = 2,
     ):
         if top_k <= 0:
@@ -75,28 +72,18 @@ class JointSearchPass:
             raise ValueError("max_sweeps must be positive")
         self._model = model
         self._top_k = top_k
-        self._search = search
         self._max_sweeps = max_sweeps
 
     def run(self, ctx: PipelineContext) -> None:
         from repro.csp.compiled import enumerate_solutions
-        from repro.csp.splitsearch import enumerate_solutions_parallel
         from repro.eval import AnalyticCostModel, kendall_tau
 
         start = time.perf_counter()
         model = self._model if self._model is not None else AnalyticCostModel()
         analytic = model if model.name == "analytic" else AnalyticCostModel()
 
-        split = resolve_search(self._search) == SEARCH_SPLIT
         with obs_trace.span("joint_search", model=model.name) as joint_span:
-            if split:
-                solutions = enumerate_solutions_parallel(
-                    ctx.network.kernel(), self._top_k
-                )
-            else:
-                solutions = enumerate_solutions(
-                    ctx.network.kernel(), self._top_k
-                )
+            solutions = enumerate_solutions(ctx.network.kernel(), self._top_k)
             pool: list[tuple[str, dict[str, Layout]]] = [
                 ("search", dict(ctx.layouts))
             ]

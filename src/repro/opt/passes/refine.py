@@ -6,7 +6,6 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.csp.splitsearch import SEARCH_AUTO, SEARCH_SPLIT, resolve_search
 from repro.layout.layout import Layout, row_major
 from repro.obs import trace as obs_trace
 from repro.opt.passes.base import PipelineContext
@@ -70,20 +69,15 @@ class RefinementPass:
     best legal restructurings and scored by the refining model (and,
     for the agreement statistic, by the analytic model).  Ties keep the
     earlier candidate, so the solver's answer survives unless the model
-    strictly prefers an alternative.
-
-    When the search mode resolves to ``"split"``, the alternatives
-    stream lazily from the parallel frontier enumerator -- same
-    solutions in the same (lexicographic) order, produced by racing
-    worker processes -- so a small ``top_k`` stops the enumeration
-    early instead of paying for the whole solution set.
+    strictly prefers an alternative.  The alternatives come from the
+    deterministic serial enumerator, which stops at ``top_k``.
     """
 
     name = "refine"
     requires: tuple[str, ...] = ("layouts", "network")
     provides: tuple[str, ...] = ("layouts", "transforms", "cost", "refinement")
 
-    def __init__(self, model, top_k: int = 8, search: str = SEARCH_AUTO):
+    def __init__(self, model, top_k: int = 8):
         if model is None:
             raise ValueError(
                 "the refine pass needs a cost model; configure the "
@@ -94,27 +88,17 @@ class RefinementPass:
             raise ValueError("refine_top_k must be positive")
         self._model = model
         self._top_k = top_k
-        self._search = search
 
     def run(self, ctx: PipelineContext) -> None:
         from repro.csp.compiled import enumerate_solutions
-        from repro.csp.splitsearch import enumerate_solutions_parallel
         from repro.eval import AnalyticCostModel, kendall_tau
 
         start = time.perf_counter()
         model = self._model
         analytic = model if model.name == "analytic" else AnalyticCostModel()
 
-        split = resolve_search(self._search) == SEARCH_SPLIT
         with obs_trace.span("refine", model=model.name) as refine_span:
-            if split:
-                solutions = enumerate_solutions_parallel(
-                    ctx.network.kernel(), self._top_k
-                )
-            else:
-                solutions = enumerate_solutions(
-                    ctx.network.kernel(), self._top_k
-                )
+            solutions = enumerate_solutions(ctx.network.kernel(), self._top_k)
             pool: list[tuple[str, dict[str, Layout]]] = [
                 ("search", dict(ctx.layouts))
             ]

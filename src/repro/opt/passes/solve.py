@@ -13,7 +13,6 @@ from repro.csp.compiled import compile_network
 from repro.csp.enhanced import EnhancedSolver
 from repro.csp.forward_checking import ForwardCheckingSolver
 from repro.csp.minconflicts import MinConflictsSolver
-from repro.csp.splitsearch import SplitSearchSolver
 from repro.csp.weighted import BranchAndBoundSolver
 from repro.ir.program import Program
 from repro.layout.layout import Layout, row_major
@@ -36,18 +35,17 @@ _SCHEMES = {
     "cbj": lambda seed: ConflictDirectedSolver(seed=seed),
     "forward-checking": lambda seed: ForwardCheckingSolver(seed=seed),
     "min-conflicts": lambda seed: MinConflictsSolver(seed=seed),
-    "split": lambda seed: SplitSearchSolver(seed=seed),
     "weighted": lambda seed: BranchAndBoundSolver(),
 }
 
 
 class SolvePass:
-    """Solve the constraint network (or race the portfolio).
+    """Solve the constraint network (or run the portfolio ladder).
 
     Direct schemes solve the compiled kernel with the optimizer's
     configured solver, falling back to weighted branch & bound when the
     hard network is unsatisfiable.  Portfolio configurations delegate
-    to the service layer's racing :class:`~repro.service.PortfolioSolver`
+    to the service layer's :class:`~repro.service.PortfolioSolver` ladder
     (built once, cached on the optimizer so resident processes reuse
     it), which reports finished layouts directly -- the pass then skips
     the assignment fields and fills ``layouts``/``scheme`` itself.

@@ -1,4 +1,4 @@
-"""The layout solver *service* layer: batched, parallel, cached.
+"""The layout solver *service* layer: batched, cached, resident.
 
 The core library answers one request at a time with one hand-picked
 scheme; this package turns it into a serving stack:
@@ -8,9 +8,10 @@ scheme; this package turns it into a serving stack:
   (stable across processes: cache keys).
 * :mod:`repro.service.cache` -- an in-memory LRU result cache with
   optional JSON persistence and hit/miss statistics.
-* :mod:`repro.service.portfolio` -- several solver schemes raced
-  concurrently per request (first exact winner takes it, stragglers
-  are cancelled, deadlines bound the worst case), with a per-scheme
+* :mod:`repro.service.portfolio` -- a deterministic scheme ladder per
+  request: schemes run one after another in priority order, the first
+  exact answer wins, a cooperative deadline bounds the worst case and
+  the weighted branch & bound is the fallback; with a per-scheme
   outcome table.
 * :mod:`repro.service.batch` -- many programs fanned across a worker
   pool, producing a throughput/latency report.

@@ -1,7 +1,7 @@
 """Batch front end: many programs through the portfolio, with a report.
 
 ``run_batch`` fans a list of programs across a process pool (each
-worker runs the full racing portfolio for its program), consults the
+worker runs the full portfolio ladder for its program), consults the
 shared result cache in the parent before dispatching and stores fresh
 results after, and aggregates everything into a
 :class:`BatchReport` -- throughput, latency percentiles, cache service
@@ -169,7 +169,7 @@ def _solve_one(
     options: BuildOptions,
     fingerprint: str,
 ) -> dict:
-    """Pool worker: race one program, return the serialized result."""
+    """Pool worker: solve one program, return the serialized result."""
     solver = _worker_solver(config, options)
     return solver.optimize(program, fingerprint=fingerprint).to_dict()
 
@@ -186,17 +186,16 @@ def run_batch(
 
     Cache lookups and stores happen in the parent (the pool workers are
     stateless), so one shared cache serves the whole batch and repeat
-    programs inside a single batch are raced only once.
+    programs inside a single batch are solved only once.
 
     Args:
         programs: the request list (order is preserved in the report).
-        config: portfolio configuration (defaults races the default
-            line-up).
+        config: portfolio configuration (defaults to the default
+            ladder).
         options: network-construction options shared by every request.
         cache: optional shared result cache.
         workers: program-level process pool size; 1 serves the batch
-            in-process (each program still races its schemes in
-            parallel when the config says so).
+            in-process.
         client: optional :class:`repro.service.stream.DaemonClient`;
             when given, the whole batch is pipelined through the
             resident daemon instead of being solved here, and
@@ -262,7 +261,7 @@ def run_batch(
                 cache.put(fingerprint, token, result.to_dict())
 
     # Duplicate requests inside the batch reuse the first occurrence's
-    # result (reported as cache-served: the race ran once).
+    # result (reported as cache-served: the ladder ran once).
     for index, source in duplicates:
         original = slots[source]
         assert original is not None

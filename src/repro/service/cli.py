@@ -6,7 +6,7 @@ Batch mode::
 
 Takes a list of programs (the five Table 1 benchmarks by name, plus
 optional synthetic load from the random generator), serves each through
-the racing portfolio with a shared on-disk result cache, and prints the
+the portfolio's scheme ladder with a shared on-disk result cache, and prints the
 per-program outcomes followed by the batch throughput report.  Run the
 same command twice: the second run is served from the cache.
 
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
         description=(
-            "Batched, cached, racing-portfolio layout optimization "
+            "Batched, cached, portfolio-ladder layout optimization "
             "service over the paper's benchmark programs."
         ),
     )
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--portfolio",
         default=",".join(DEFAULT_SCHEMES),
         help=(
-            "comma-separated schemes to race "
+            "comma-separated schemes, in the order the ladder tries them "
             f"(known: {', '.join(known_schemes())})"
         ),
     )
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline",
         type=float,
         default=120.0,
-        help="per-program racing deadline in seconds (default 120)",
+        help="per-program solving deadline in seconds (default 120)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="solver RNG seed (default 0)"
@@ -115,11 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
             "or auto-sized per network (default auto; results are "
             "identical either way)"
         ),
-    )
-    parser.add_argument(
-        "--sequential",
-        action="store_true",
-        help="run each program's schemes sequentially instead of racing",
     )
     parser.add_argument(
         "--cache",
@@ -144,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline = parser.add_argument_group(
         "pass pipeline",
         "run the batch through an explicit optimizer pass pipeline "
-        "(see repro.opt.passes) instead of the racing batch runner",
+        "(see repro.opt.passes) instead of the portfolio batch runner",
     )
     pipeline.add_argument(
         "--passes",
@@ -254,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluation = parser.add_argument_group(
         "evaluation requests",
         "price programs under a cost model instead of (only) optimizing "
-        "them; layouts come from the racing portfolio, the machine "
+        "them; layouts come from the portfolio, the machine "
         "model from --hierarchy",
     )
     evaluation.add_argument(
@@ -363,7 +358,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     _configure_logging(args)
     if args.engine != "auto":
         # The env override propagates the forced engine into every
-        # racing scheme child and pool worker this process spawns.
+        # pool worker this process spawns.
         # The env resolution path soft-degrades on numpy-free hosts
         # (right for a fleet-wide knob, wrong for an explicit flag),
         # so reject the impossible request here instead.
@@ -386,7 +381,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.portfolio,
             seed=args.seed,
             deadline_seconds=args.deadline,
-            parallel=not args.sequential,
         )
     except ValueError as exc:
         raise SystemExit(str(exc))

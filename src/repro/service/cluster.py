@@ -484,7 +484,7 @@ class ClusterRouter:
             if response is not None and response.get("ok"):
                 members[address] = response["result"]
         aggregate: dict[str, dict] = {}
-        for section in ("counters", "engines", "split", "peer"):
+        for section in ("counters", "engines", "peer"):
             totals: dict[str, float] = {}
             for member_stats in members.values():
                 for key, value in (member_stats.get(section) or {}).items():

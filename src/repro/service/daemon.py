@@ -284,7 +284,7 @@ class SolverDaemon:
     """A resident, async, streaming layout-solver service.
 
     Args:
-        config: portfolio raced for solve misses (and evaluate
+        config: portfolio ladder run for solve misses (and evaluate
             requests without explicit layouts).
         options: network-construction options shared by all requests.
         daemon_config: resident-service knobs (pool size, shards,
@@ -362,9 +362,6 @@ class SolverDaemon:
             "shared_cached": 0,
             "local": 0,
         }
-        #: Split-search serving breakdown: subtree and steal totals
-        #: folded from every worker-dispatched miss's outcome table.
-        self.split_counters = {"subtrees": 0, "steals": 0}
         #: Cache-peering breakdown (all zero on a standalone daemon):
         #: outbound lookups that hit/missed/errored on the owner, and
         #: inbound ``cache_lookup`` requests this member answered.
@@ -584,7 +581,6 @@ class SolverDaemon:
             "uptime_seconds": time.monotonic() - self._started_at,
             "counters": dict(self.counters),
             "engines": dict(self.engine_counters),
-            "split": dict(self.split_counters),
             "peer": dict(self.peer_counters),
             "wire_memo": {
                 "entries": len(self._wire_memo),
@@ -652,12 +648,6 @@ class SolverDaemon:
                 "repro_daemon_engine_total",
                 {"engine": engine},
                 help="Worker-dispatched misses by engine and kernel source.",
-            ).inc(count)
-        for event, count in self.split_counters.items():
-            registry.counter(
-                "repro_daemon_split_total",
-                {"event": event},
-                help="Split-search subtrees run and steals, from misses.",
             ).inc(count)
         for event, count in self.peer_counters.items():
             registry.counter(
@@ -732,21 +722,6 @@ class SolverDaemon:
                 oldest = next(iter(self._shared_segments))
                 del self._shared_segments[oldest]
                 unlink_shared(oldest)
-
-    def _record_split(self, data: dict) -> None:
-        """Fold split-search effort from a worker miss's outcome table.
-
-        Derived from the result payload (not the shipped metric delta)
-        so the breakdown works even when a worker ran with metrics
-        disabled; the registry's ``repro_split_*`` counters arrive
-        separately via the telemetry merge and are deliberately not
-        re-derived here.  Owner-only, like `_record_engine`.
-        """
-        result = data.get("result") or {}
-        for outcome in result.get("outcomes", ()):
-            stats = outcome.get("stats") or {}
-            self.split_counters["subtrees"] += int(stats.get("subtrees", 0))
-            self.split_counters["steals"] += int(stats.get("steals", 0))
 
     def _request_span(self, payload: dict, kind: str):
         """A real root span when anyone will look at it, else the no-op.
@@ -948,7 +923,6 @@ class SolverDaemon:
             # Only the owner records: dedup twins share this payload,
             # and one worker miss must count once in the breakdown.
             self._record_engine(fingerprint, data)
-            self._record_split(data)
             self._merge_worker_telemetry(data)
             _adopt_worker_spans(dispatch_span, data)
             if data["exact"]:

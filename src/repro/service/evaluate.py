@@ -4,7 +4,7 @@ The portfolio answers "what layouts should this program use?"; an
 evaluation request answers "what would these layouts *cost*?" -- on a
 per-request machine model, so one deployment prices the same program
 for many cache geometries.  A request without explicit layouts first
-runs the optimizing portfolio (racing, cached) and then prices the
+runs the optimizing portfolio (ladder, cached) and then prices the
 winner, which is how batch callers close the analytic <-> empirical
 loop remotely.
 

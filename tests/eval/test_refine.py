@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.csp.compiled import enumerate_solutions
+from repro.csp.compiled import compile_network, enumerate_solutions
+from repro.csp.random_networks import random_network
 from repro.eval import SimulatedCostModel
 from repro.ir.parser import parse_program
 from repro.opt.network_builder import build_layout_network
@@ -38,6 +39,15 @@ class TestEnumerateSolutions:
     def test_limit_respected(self):
         network = build_layout_network(parse_program(TWO_NESTS))
         assert len(enumerate_solutions(network.kernel(), 1)) == 1
+        # The depth-first stream stops at the limit: a smaller limit
+        # yields a prefix of a larger one.
+        kernel = compile_network(random_network(9, 3, 0.4, 0.2, seed=29))
+        first = enumerate_solutions(kernel, 3)
+        assert 1 <= len(first) <= 3
+        assert enumerate_solutions(kernel, 12)[: len(first)] == first
+        # An UNSAT network yields no solutions at all.
+        unsat = random_network(8, 3, 0.9, 0.6, seed=31, plant_solution=False)
+        assert enumerate_solutions(compile_network(unsat), 5) == []
 
     def test_bad_limit_rejected(self):
         network = build_layout_network(parse_program(TWO_NESTS))
@@ -106,7 +116,7 @@ class TestRefinedOptimizer:
     def test_portfolio_scheme_composes_with_refine(self):
         from repro.service.portfolio import PortfolioConfig
 
-        config = PortfolioConfig(schemes=("enhanced",), parallel=False)
+        config = PortfolioConfig(schemes=("enhanced",))
         outcome = LayoutOptimizer(
             scheme=config, refine=SimulatedCostModel(), refine_top_k=3
         ).optimize(parse_program(TWO_NESTS))

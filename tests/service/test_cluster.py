@@ -38,7 +38,7 @@ def _program(rows: int, name: str = "program"):
 
 
 def _fast_config() -> PortfolioConfig:
-    return PortfolioConfig(schemes=("enhanced",), parallel=False)
+    return PortfolioConfig(schemes=("enhanced",))
 
 
 class _FakeMember:
@@ -73,7 +73,6 @@ class _FakeMember:
                 "result": {
                     "counters": {"requests": len(self.served)},
                     "engines": {},
-                    "split": {},
                     "peer": {"hits": 1},
                     "cache": {"entries": 2, "bytes_on_disk": 10},
                 },

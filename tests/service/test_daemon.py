@@ -52,8 +52,8 @@ def _program(rows: int, name: str = "program"):
 
 
 def _fast_config() -> PortfolioConfig:
-    """Sequential single scheme: deterministic and spawn-free."""
-    return PortfolioConfig(schemes=("enhanced",), parallel=False)
+    """Single-scheme ladder: deterministic and fast."""
+    return PortfolioConfig(schemes=("enhanced",))
 
 
 class _DaemonHarness:

@@ -32,7 +32,7 @@ def _program(rows: int, name: str = "program"):
 
 
 def _fast_config() -> PortfolioConfig:
-    return PortfolioConfig(schemes=("enhanced",), parallel=False)
+    return PortfolioConfig(schemes=("enhanced",))
 
 
 class _Harness:

@@ -193,7 +193,7 @@ class TestStaleSocketReclaim:
         sock.bind(path)
         sock.close()  # simulate SIGKILL leftovers
         daemon = SolverDaemon(
-            config=PortfolioConfig(schemes=("enhanced",), parallel=False),
+            config=PortfolioConfig(schemes=("enhanced",)),
             daemon_config=DaemonConfig(workers=1, shards=1),
         )
 

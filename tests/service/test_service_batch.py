@@ -120,7 +120,7 @@ class TestZeroWallClock:
         """End to end: a warm in-memory batch must never report 0/s."""
         program = parse_program(FIGURE2)
         cache = ResultCache()
-        config = PortfolioConfig(schemes=("enhanced",), parallel=False)
+        config = PortfolioConfig(schemes=("enhanced",))
         run_batch([program], config=config, cache=cache)
         warm = run_batch([program] * 8, config=config, cache=cache)
         assert warm.cached_fraction == 1.0

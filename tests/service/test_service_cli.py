@@ -60,7 +60,6 @@ class TestCli:
         output = _run_cli(
             "--programs", "none",
             "--random", "2",
-            "--sequential",
             "--no-cache",
             "--verbose",
             "--cache", str(tmp_path / "unused.json"),
@@ -95,7 +94,7 @@ class TestBatchApi:
         served entirely from cache."""
         programs = [build_benchmark("MxM"), build_benchmark("MxM")]
         cache = ResultCache()
-        config = PortfolioConfig(schemes=("enhanced",), parallel=False)
+        config = PortfolioConfig(schemes=("enhanced",))
         first = run_batch(programs, config, cache=cache, workers=1)
         assert first.total == 2
         assert first.cache_hits == 1  # in-batch duplicate
@@ -106,7 +105,7 @@ class TestBatchApi:
     def test_worker_pool_path(self):
         """workers > 1 exercises the process pool and result pickling."""
         programs = list(random_suite(3, seed=11))
-        config = PortfolioConfig(schemes=("enhanced", "cbj"), parallel=False)
+        config = PortfolioConfig(schemes=("enhanced", "cbj"))
         report = run_batch(programs, config, workers=2)
         assert report.total == 3
         assert all(result.exact for result in report.results)
@@ -115,7 +114,7 @@ class TestBatchApi:
 
     def test_order_is_preserved(self):
         programs = list(random_suite(4, seed=5))
-        config = PortfolioConfig(schemes=("enhanced",), parallel=False)
+        config = PortfolioConfig(schemes=("enhanced",))
         report = run_batch(programs, config, workers=1)
         assert [r.program for r in report.results] == [
             p.name for p in programs

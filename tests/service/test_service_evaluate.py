@@ -31,7 +31,7 @@ def _program(name="walk-prog"):
 
 
 def _config():
-    return PortfolioConfig(schemes=("enhanced",), parallel=False)
+    return PortfolioConfig(schemes=("enhanced",))
 
 
 class TestParseHierarchyOverrides:
@@ -239,7 +239,6 @@ class TestCliEvaluate:
                 "--programs",
                 "MxM",
                 "--evaluate",
-                "--sequential",
                 "--portfolio",
                 "enhanced",
                 "--no-cache",

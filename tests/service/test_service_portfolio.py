@@ -1,15 +1,22 @@
-"""Portfolio racing: correctness vs single schemes, deadlines, caching."""
+"""Portfolio ladder: correctness vs single schemes, deadlines, caching."""
 
 import time
 
 import pytest
 
-from repro.bench import benchmark_build_options, build_benchmark
+from repro.bench import (
+    BENCHMARK_NAMES,
+    benchmark_build_options,
+    build_benchmark,
+    random_suite,
+)
 from repro.csp.stats import SolverResult, SolverStats
 from repro.ir.parser import parse_program
 from repro.opt.network_builder import BuildOptions, build_layout_network
+from repro.obs import trace as obs_trace
 from repro.opt.optimizer import LayoutOptimizer
 from repro.service.cache import ResultCache
+from repro.service.fingerprint import request_fingerprint
 from repro.service.portfolio import (
     EXTRA_SCHEMES,
     PortfolioConfig,
@@ -30,31 +37,9 @@ nest fig2 {
 }
 """
 
-#: How long the deliberately slow scheme sleeps; the racing tests
-#: assert completion in a fraction of this.
+#: How long a scheme that ignores its deadline sleeps; the deadline
+#: tests assert completion in a fraction of this.
 SLEEP_SECONDS = 20.0
-
-
-class _SleepySolver:
-    """Burns wall-clock time, then gives up (never wins a race)."""
-
-    name = "sleepy"
-
-    def solve(self, network) -> SolverResult:
-        time.sleep(SLEEP_SECONDS)
-        return SolverResult(None, SolverStats(), complete=False)
-
-
-@pytest.fixture
-def sleepy_schemes():
-    """Two slow schemes registered for the duration of one test."""
-    EXTRA_SCHEMES["sleepy-a"] = lambda seed: _SleepySolver()
-    EXTRA_SCHEMES["sleepy-b"] = lambda seed: _SleepySolver()
-    try:
-        yield ("sleepy-a", "sleepy-b")
-    finally:
-        EXTRA_SCHEMES.pop("sleepy-a", None)
-        EXTRA_SCHEMES.pop("sleepy-b", None)
 
 
 class TestConfig:
@@ -95,7 +80,7 @@ class TestConfig:
 
     def test_race_hands_each_scheme_its_own_seed(self):
         """Two randomized schemes must not take identical walks: the
-        race derives one distinct RNG seed per position."""
+        ladder derives one distinct RNG seed per position."""
         recorded: dict[str, int] = {}
 
         class _Recorder:
@@ -116,7 +101,7 @@ class TestConfig:
         EXTRA_SCHEMES["rec-b"] = factory("rec-b")
         try:
             config = PortfolioConfig(
-                schemes=("rec-a", "rec-b"), seed=11, parallel=False
+                schemes=("rec-a", "rec-b"), seed=11
             )
             PortfolioSolver(config).optimize(parse_program(FIGURE2))
         finally:
@@ -126,24 +111,38 @@ class TestConfig:
         assert recorded["rec-b"] != recorded["rec-a"]
 
     def test_token_ignores_latency_knobs(self):
-        """Deadline/parallelism change speed, not answers: same key."""
-        fast = PortfolioConfig(deadline_seconds=1.0, parallel=False)
-        slow = PortfolioConfig(deadline_seconds=900.0, parallel=True)
+        """The deadline changes speed, not answers: same key."""
+        fast = PortfolioConfig(deadline_seconds=1.0)
+        slow = PortfolioConfig(deadline_seconds=900.0)
         assert fast.token() == slow.token()
         other = PortfolioConfig(schemes=("enhanced",))
         assert fast.token() != other.token()
+
+    def test_entry_under_the_race_token_is_a_miss(self):
+        """Entries the former process race wrote (its ``winner`` hung
+        on timing) sit under the old token string and are not served."""
+        program = parse_program(FIGURE2)
+        config = PortfolioConfig(schemes=("enhanced", "cbj"))
+        fingerprint = request_fingerprint(program, BuildOptions())
+        cache = ResultCache()
+        stale = PortfolioSolver(config).optimize(program).to_dict()
+        stale["winner"] = "cbj"
+        cache.put(fingerprint, "portfolio[enhanced,cbj]seed=0", stale)
+        assert config.token() != "portfolio[enhanced,cbj]seed=0"
+        result = PortfolioSolver(config, cache=cache).optimize(program)
+        assert not result.from_cache
+        assert result.winner == "enhanced"
+        assert cache.stats.misses == 1
 
 
 class TestRacingCorrectness:
     @pytest.mark.parametrize("name", ["MxM", "Med-Im04"])
     def test_portfolio_equals_best_single_scheme(self, name):
-        """Sequential portfolio = first scheme that solves exactly, so
-        its layouts equal that single scheme's layouts exactly."""
+        """The ladder's answer is the first scheme that solves exactly,
+        so its layouts equal that single scheme's layouts exactly."""
         program = build_benchmark(name)
         options = benchmark_build_options()
-        config = PortfolioConfig(
-            schemes=("enhanced", "cbj", "weighted"), parallel=False
-        )
+        config = PortfolioConfig(schemes=("enhanced", "cbj", "weighted"))
         portfolio = PortfolioSolver(config, options=options).optimize(program)
         single = LayoutOptimizer(scheme="enhanced", options=options).optimize(
             program
@@ -153,6 +152,7 @@ class TestRacingCorrectness:
         assert portfolio.layouts == single.layouts
 
     def test_parallel_race_finds_exact_solution(self):
+        """The default ladder answers a Table 1 program exactly."""
         program = build_benchmark("MxM")
         options = benchmark_build_options()
         config = PortfolioConfig(
@@ -170,46 +170,76 @@ class TestRacingCorrectness:
 
     def test_winner_row_is_marked_won(self):
         program = parse_program(FIGURE2)
-        config = PortfolioConfig(schemes=("enhanced", "cbj"), parallel=False)
+        config = PortfolioConfig(schemes=("enhanced", "cbj"))
         result = PortfolioSolver(config).optimize(program)
         rows = {o.scheme: o.status for o in result.outcomes}
         assert rows[result.winner] == "won"
+        assert rows["cbj"] == "skipped"
+
+    def test_fresh_solvers_agree_and_match_enhanced(self):
+        """The answer is a function of the request: eight fresh default
+        ladders give one winner, one layout set and one status table
+        per program, and the layouts are the enhanced scheme's."""
+        options = benchmark_build_options()
+        programs = [build_benchmark(name) for name in BENCHMARK_NAMES]
+        programs += random_suite(40, 1)
+        runs = []
+        for _ in range(8):
+            solver = PortfolioSolver(PortfolioConfig(), options=options)
+            runs.append(
+                [
+                    (
+                        result.winner,
+                        result.layouts,
+                        tuple((o.scheme, o.status) for o in result.outcomes),
+                    )
+                    for result in map(solver.optimize, programs)
+                ]
+            )
+        assert all(run == runs[0] for run in runs[1:])
+        enhanced = LayoutOptimizer("enhanced", options=options)
+        for program, (_, layouts, _) in zip(programs, runs[0]):
+            assert layouts == enhanced.optimize(program).layouts, program.name
+
+
+class TestLadderSpans:
+    def test_rung_spans_are_ordered_and_disjoint(self, cooperative_scheme):
+        """Each rung runs inside its own real span under ``race``; a
+        later rung starts only after the earlier one ended."""
+        program = parse_program(FIGURE2)
+        config = PortfolioConfig(
+            schemes=(cooperative_scheme, "enhanced"), deadline_seconds=1.0
+        )
+        with obs_trace.recording("request") as root:
+            result = PortfolioSolver(config).optimize(program)
+        assert result.winner == "enhanced"
+        race = root.find("race")
+        rungs = [c for c in race.children if c.name.startswith("scheme:")]
+        assert [r.name for r in rungs] == [
+            f"scheme:{cooperative_scheme}",
+            "scheme:enhanced",
+        ]
+        assert [r.attributes["status"] for r in rungs] == ["gave-up", "won"]
+        assert rungs[0].end_ns <= rungs[1].start_ns
+        assert race.start_ns <= rungs[0].start_ns
+        assert rungs[1].end_ns <= race.end_ns
+        assert "mode" not in race.attributes
 
 
 class TestDeadlines:
-    def test_race_cancels_stragglers(self, sleepy_schemes):
-        """A fast scheme wins and the sleepers are terminated, so the
-        race takes a fraction of their sleep time."""
+    def test_deadline_terminates_the_race(self, cooperative_pair):
+        """Both rungs give up inside a 1 s budget (each gets the
+        remaining budget through ``set_deadline``), so the weighted
+        fallback answers -- exactly -- in well under SLEEP_SECONDS."""
         program = parse_program(FIGURE2)
-        config = PortfolioConfig(
-            schemes=sleepy_schemes + ("enhanced",),
-            deadline_seconds=SLEEP_SECONDS * 4,
-        )
+        config = PortfolioConfig(schemes=cooperative_pair, deadline_seconds=1.0)
         start = time.perf_counter()
         result = PortfolioSolver(config).optimize(program)
         elapsed = time.perf_counter() - start
-        assert elapsed < SLEEP_SECONDS / 2
-        assert result.winner == "enhanced"
-        assert result.exact
+        assert elapsed < SLEEP_SECONDS / 4
         statuses = {o.scheme: o.status for o in result.outcomes}
-        assert statuses["enhanced"] == "won"
-        assert statuses[sleepy_schemes[0]] == "cancelled"
-        assert statuses[sleepy_schemes[1]] == "cancelled"
-
-    def test_deadline_terminates_the_race(self, sleepy_schemes):
-        """All schemes stuck: the deadline fires, stragglers report
-        'timeout', and the weighted fallback still produces layouts."""
-        program = parse_program(FIGURE2)
-        config = PortfolioConfig(
-            schemes=sleepy_schemes, deadline_seconds=1.0
-        )
-        start = time.perf_counter()
-        result = PortfolioSolver(config).optimize(program)
-        elapsed = time.perf_counter() - start
-        assert elapsed < SLEEP_SECONDS / 2
-        statuses = {o.scheme: o.status for o in result.outcomes}
-        assert statuses[sleepy_schemes[0]] == "timeout"
-        assert statuses[sleepy_schemes[1]] == "timeout"
+        assert statuses[cooperative_pair[0]] == "gave-up"
+        assert statuses[cooperative_pair[1]] == "gave-up"
         assert result.winner == "weighted-fallback"
         assert result.exact  # figure 2's network is satisfiable
         assert set(result.layouts) == {"Q1", "Q2"}
@@ -220,7 +250,7 @@ class TestCachingIntegration:
         program = parse_program(FIGURE2)
         cache = ResultCache()
         solver = PortfolioSolver(
-            PortfolioConfig(schemes=("enhanced",), parallel=False), cache=cache
+            PortfolioConfig(schemes=("enhanced",)), cache=cache
         )
         first = solver.optimize(program)
         second = solver.optimize(program)
@@ -238,11 +268,11 @@ class TestCachingIntegration:
         program = parse_program(FIGURE2)
         cache = ResultCache()
         solver = PortfolioSolver(
-            PortfolioConfig(schemes=("enhanced",), parallel=False), cache=cache
+            PortfolioConfig(schemes=("enhanced",)), cache=cache
         )
         monkeypatch.setattr(
             solver,
-            "_race",
+            "_run_ladder",
             lambda network, weights: (
                 "enhanced",
                 False,
@@ -259,7 +289,7 @@ class TestCachingIntegration:
         cache but reported under its own name."""
         cache = ResultCache()
         solver = PortfolioSolver(
-            PortfolioConfig(schemes=("enhanced",), parallel=False), cache=cache
+            PortfolioConfig(schemes=("enhanced",)), cache=cache
         )
         solver.optimize(parse_program(FIGURE2, name="original"))
         twin = solver.optimize(parse_program(FIGURE2, name="renamed-twin"))
@@ -269,7 +299,7 @@ class TestCachingIntegration:
     def test_result_roundtrips_through_serialization(self):
         program = parse_program(FIGURE2)
         solver = PortfolioSolver(
-            PortfolioConfig(schemes=("enhanced", "weighted"), parallel=False)
+            PortfolioConfig(schemes=("enhanced", "weighted"))
         )
         result = solver.optimize(program)
         clone = PortfolioResult.from_dict(result.to_dict(), from_cache=True)
@@ -293,19 +323,18 @@ class TestOptimizerIntegration:
 
     def test_portfolio_config_instance(self):
         program = parse_program(FIGURE2)
-        config = PortfolioConfig(schemes=("enhanced",), parallel=False)
+        config = PortfolioConfig(schemes=("enhanced",))
         outcome = LayoutOptimizer(scheme=config).optimize(program)
         assert outcome.scheme == "portfolio:enhanced"
         assert outcome.exact
 
 
 class _CooperativeSleeper:
-    """Sleeps forever *unless* a deadline was propagated to it.
+    """Sleeps SLEEP_SECONDS *unless* a deadline was propagated to it.
 
-    The observable for deadline propagation: before the portfolio
-    forwarded its remaining budget into each scheme, this solver slept
-    the full SLEEP_SECONDS and had to be terminated ("timeout"); with
-    propagation it stops itself and reports "gave-up".
+    The observable for deadline propagation: with it, the solver stops
+    itself and reports "gave-up"; without it, the ladder would block
+    for the full SLEEP_SECONDS.
     """
 
     name = "cooperative"
@@ -349,15 +378,12 @@ def cooperative_pair():
 
 class TestDeadlinePropagation:
     def test_sequential_scheme_stops_itself(self, cooperative_scheme):
-        """Sequential mode forwards the remaining budget into the
-        scheme, which stops mid-search -- previously the deadline was
-        only checked *between* schemes and a slow scheme burned its
-        full solve."""
+        """The ladder forwards the remaining budget into the scheme,
+        which stops mid-search instead of burning its full solve."""
         program = parse_program(FIGURE2)
         config = PortfolioConfig(
             schemes=(cooperative_scheme, "enhanced"),
             deadline_seconds=2.0,
-            parallel=False,
         )
         start = time.perf_counter()
         result = PortfolioSolver(config).optimize(program)
@@ -365,35 +391,5 @@ class TestDeadlinePropagation:
         assert elapsed < SLEEP_SECONDS / 2
         statuses = {o.scheme: o.status for o in result.outcomes}
         assert statuses[cooperative_scheme] == "gave-up"
-        # The fast scheme still ran inside the same race budget.
+        # The fast scheme still ran inside the same budget.
         assert result.winner == "enhanced"
-
-    def test_parallel_racer_receives_the_deadline(self, cooperative_pair):
-        """Racing children get the absolute deadline across the fork:
-        the cooperative schemes report their own give-up instead of
-        being terminated."""
-        program = parse_program(FIGURE2)
-        config = PortfolioConfig(
-            schemes=cooperative_pair,
-            deadline_seconds=5.0,
-            parallel=True,
-        )
-        start = time.perf_counter()
-        result = PortfolioSolver(config).optimize(program)
-        elapsed = time.perf_counter() - start
-        assert elapsed < SLEEP_SECONDS / 2
-        statuses = {o.scheme: o.status for o in result.outcomes}
-        assert statuses[cooperative_pair[0]] == "gave-up"
-        assert statuses[cooperative_pair[1]] == "gave-up"
-        assert result.winner == "weighted-fallback"
-
-    def test_split_racer_in_a_deadlined_race(self):
-        """A split:N racer composes with the deadline plumbing and
-        still wins easy races exactly."""
-        program = parse_program(FIGURE2)
-        config = PortfolioConfig(
-            schemes=("split:2",), deadline_seconds=30.0, parallel=False
-        )
-        result = PortfolioSolver(config).optimize(program)
-        assert result.winner == "split:2"
-        assert result.exact
