@@ -39,13 +39,16 @@ class TestEnumerateSolutions:
     def test_limit_respected(self):
         network = build_layout_network(parse_program(TWO_NESTS))
         assert len(enumerate_solutions(network.kernel(), 1)) == 1
-        # The depth-first stream stops at the limit: a smaller limit
-        # yields a prefix of a larger one.
+
+    def test_limit_stops_the_stream(self):
+        """The depth-first stream stops at the limit: a smaller limit
+        yields a prefix of a larger one."""
         kernel = compile_network(random_network(9, 3, 0.4, 0.2, seed=29))
         first = enumerate_solutions(kernel, 3)
         assert 1 <= len(first) <= 3
         assert enumerate_solutions(kernel, 12)[: len(first)] == first
-        # An UNSAT network yields no solutions at all.
+
+    def test_unsat_stream_is_empty(self):
         unsat = random_network(8, 3, 0.9, 0.6, seed=31, plant_solution=False)
         assert enumerate_solutions(compile_network(unsat), 5) == []
 

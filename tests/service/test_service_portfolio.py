@@ -393,3 +393,31 @@ class TestDeadlinePropagation:
         assert statuses[cooperative_scheme] == "gave-up"
         # The fast scheme still ran inside the same budget.
         assert result.winner == "enhanced"
+
+    def test_every_rung_receives_the_deadline(self, monkeypatch):
+        """Each rung is handed the budget that remains when it starts:
+        both cooperative rungs give up on their own and the second one
+        sees a smaller budget than the first."""
+        sleepers: dict[str, _CooperativeSleeper] = {}
+        names = ("cooperative-a", "cooperative-b")
+        for name in names:
+            monkeypatch.setitem(
+                EXTRA_SCHEMES,
+                name,
+                lambda seed, name=name: sleepers.setdefault(
+                    name, _CooperativeSleeper()
+                ),
+            )
+        program = parse_program(FIGURE2)
+        config = PortfolioConfig(schemes=names, deadline_seconds=5.0)
+        start = time.perf_counter()
+        result = PortfolioSolver(config).optimize(program)
+        elapsed = time.perf_counter() - start
+        assert elapsed < SLEEP_SECONDS / 2
+        statuses = {o.scheme: o.status for o in result.outcomes}
+        assert statuses[names[0]] == "gave-up"
+        assert statuses[names[1]] == "gave-up"
+        assert result.winner == "weighted-fallback"
+        first = sleepers[names[0]].deadline_seconds
+        second = sleepers[names[1]].deadline_seconds
+        assert 0 < second < first <= 5.0
