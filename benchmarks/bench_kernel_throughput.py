@@ -1,34 +1,34 @@
-"""Propagation-kernel throughput: native vs numpy vs bitset engines.
+"""Propagation-kernel throughput: native vs bitset engines.
 
-Not a paper table -- this gates the engine ladder: on the Table 2
-benchmark suite, a fixed per-network solver mix must run **>= 3x**
-faster through the numpy engine than through the bitset engine, and
-**>= 2x** faster again through the native C engine
-(:mod:`repro.csp.native`) than through numpy, while all three return
-**byte-identical** solutions, RNG streams and effort counters (nodes,
-backtracks, backjumps, consistency checks, restarts).
+Not a paper table -- this gates the engine choice: on the Table 2
+benchmark suite, a fixed per-network solver mix must run **>= 6x**
+faster through the native C engine (:mod:`repro.csp.native`) than
+through the bitset engine, while both return **byte-identical**
+solutions, RNG streams and effort counters (nodes, backtracks,
+backjumps, consistency checks, restarts).
 
 The mix per network is the propagation-dominated serving work one
 request fans out into:
 
 * an AC-3 preprocessing pass (whole-domain revisions);
-* an enhanced-scheme solve (vectorized MCV/LCV orderings);
-* a forward-checking solve (vectorized MRV selection);
-* a 16-seed min-conflicts restart portfolio (the lockstep batched
-  chains) with a fixed step budget, the dominant share by design --
-  conflict scanning is the paper workload's propagation hot spot.
+* an enhanced-scheme solve (MCV/LCV orderings);
+* a forward-checking solve (MRV selection);
+* a 16-seed min-conflicts restart portfolio with a fixed step
+  budget, the dominant share by design -- conflict scanning is the
+  paper workload's propagation hot spot.
 
 Environment knobs (the CI smoke job caps the budgets and disables the
 timing gate; parity is asserted either way):
 
 * ``REPRO_BENCH_MC_STEPS``    -- per-chain step budget (default 600);
 * ``REPRO_BENCH_MC_CHAINS``   -- chains per network (default 16);
-* ``REPRO_BENCH_KERNEL_GATE`` -- set to ``0`` to report the numpy
-  speedup without failing below 3x (shared CI runners time
-  unreliably);
-* ``REPRO_BENCH_NATIVE_GATE`` -- the native-vs-numpy gate: ``0``
-  reports without failing, any other value is the required multiple
-  (default ``2``).  Skipped entirely on compilerless hosts.
+* ``REPRO_BENCH_NATIVE_GATE`` -- the native-vs-bitset gate: ``0``
+  reports without failing (shared CI runners time unreliably), any
+  other value is the required multiple (default ``6``).
+
+The native runs, the parity check and the gate are skipped on
+compilerless hosts; the observability-overhead test then runs its mix
+on the bitset engine.
 
 Run:  pytest benchmarks/bench_kernel_throughput.py --benchmark-only -s
 """
@@ -38,13 +38,11 @@ import time
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.bench import BENCHMARK_NAMES
 from repro.csp.arc_consistency import ac3
 from repro.csp.enhanced import EnhancedSolver
 from repro.csp.forward_checking import ForwardCheckingSolver
-from repro.csp.vectorized import as_vectorized, batch_min_conflicts
+from repro.csp.vectorized import batch_min_conflicts, native_available
 from repro.opt.report import format_table
 from benchmarks.conftest import HARNESS_SEED
 
@@ -53,13 +51,9 @@ MC_STEPS = int(os.environ.get("REPRO_BENCH_MC_STEPS", 600))
 MC_CHAINS = int(os.environ.get("REPRO_BENCH_MC_CHAINS", 16))
 MC_RESTARTS = 2
 
-#: Timing gate (>= 3x); parity is always asserted.
-GATE = os.environ.get("REPRO_BENCH_KERNEL_GATE", "1") != "0"
-REQUIRED_SPEEDUP = 3.0
-
-#: Native-vs-numpy gate: "0" reports only, anything else is the
-#: required multiple (default 2x).
-_NATIVE_GATE_RAW = os.environ.get("REPRO_BENCH_NATIVE_GATE", "2").strip()
+#: Native-vs-bitset gate: "0" reports only, anything else is the
+#: required multiple (default 6x); parity is always asserted.
+_NATIVE_GATE_RAW = os.environ.get("REPRO_BENCH_NATIVE_GATE", "6").strip()
 NATIVE_GATE = _NATIVE_GATE_RAW != "0"
 NATIVE_REQUIRED_SPEEDUP = float(_NATIVE_GATE_RAW) if NATIVE_GATE else 0.0
 
@@ -116,8 +110,6 @@ def _run_mix(kernel, engine: str) -> tuple[dict, dict[str, float]]:
 
 
 def _native_param():
-    from repro.csp.vectorized import native_available
-
     return pytest.param(
         "native",
         marks=pytest.mark.skipif(
@@ -127,23 +119,24 @@ def _native_param():
     )
 
 
-@pytest.mark.parametrize("engine", ["bitset", "numpy", _native_param()])
+def _warm_native(kernels) -> None:
+    """Compile/load the shared library and lower each kernel once.
+
+    A resident worker pays both once and serves many requests from
+    them, which is the throughput being modelled here.
+    """
+    from repro.csp.native.ops import as_native
+
+    for kernel in kernels.values():
+        as_native(kernel)
+
+
+@pytest.mark.parametrize("engine", ["bitset", _native_param()])
 def test_kernel_throughput(benchmark, engine, networks):
     """Time the full-suite mix once per engine (one-shot, like Table 2)."""
     kernels = {name: networks[name].kernel() for name in BENCHMARK_NAMES}
-    if engine == "numpy":
-        # Warm the plane cache: a resident worker builds (or attaches)
-        # the vectorized kernel once and serves many requests from it,
-        # which is the throughput being modelled here.
-        for kernel in kernels.values():
-            as_vectorized(kernel)
     if engine == "native":
-        # Same resident-worker model: compile/load the shared library
-        # and lower each kernel once before the clock starts.
-        from repro.csp.native.ops import as_native
-
-        for kernel in kernels.values():
-            as_native(kernel)
+        _warm_native(kernels)
 
     def run_suite():
         observed: dict[str, dict] = {}
@@ -167,41 +160,39 @@ def test_kernel_throughput(benchmark, engine, networks):
 
 
 def test_parity_and_speedup(benchmark):
-    """Byte-identical observables; gated suite throughput per tier."""
+    """Byte-identical observables; gated native suite throughput."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert {"bitset", "numpy"} <= set(_runs), "run the engine benchmarks first"
-    bitset, numpy_run = _runs["bitset"], _runs["numpy"]
-    native_run = _runs.get("native")  # absent on compilerless hosts
+    assert "bitset" in _runs, "run the engine benchmarks first"
+    if "native" not in _runs:
+        pytest.skip("native kernel unavailable (no C compiler, no cache)")
+    bitset, native_run = _runs["bitset"], _runs["native"]
 
     # Parity: solutions, UNSAT/completeness verdicts, RNG-stream-pinned
     # effort counters, AC-3 domains and revision counts -- everything
-    # observable must match byte for byte across every engine that ran.
+    # observable must match byte for byte across the engines.
     for name in BENCHMARK_NAMES:
-        assert bitset["observed"][name] == numpy_run["observed"][name], name
-        if native_run is not None:
-            assert bitset["observed"][name] == native_run["observed"][name], name
+        assert bitset["observed"][name] == native_run["observed"][name], name
 
-    timed = {"bitset": bitset, "numpy": numpy_run}
-    if native_run is not None:
-        timed["native"] = native_run
     rows = []
     for name in BENCHMARK_NAMES:
-        per_engine = {eng: run["seconds"][name] for eng, run in timed.items()}
+        per_engine = {
+            eng: run["seconds"][name]
+            for eng, run in (("bitset", bitset), ("native", native_run))
+        }
         rows.append(
             [
                 name,
                 *(
                     " / ".join(
-                        f"{per_engine[eng][op] * 1e3:.1f}" for eng in timed
+                        f"{per_engine[eng][op] * 1e3:.1f}" for eng in per_engine
                     )
                     for op in ("ac3", "enhanced", "fc", "minconflicts")
                 ),
-                f"{sum(per_engine['bitset'].values()) / sum(per_engine[list(timed)[-1]].values()):.2f}x",
+                f"{sum(per_engine['bitset'].values()) / sum(per_engine['native'].values()):.2f}x",
             ]
         )
-    speedup = bitset["elapsed"] / numpy_run["elapsed"]
-    tiers = " / ".join(f"ms {eng}" for eng in timed)
-    print(f"\n\n=== Propagation-kernel throughput ({tiers}) ===")
+    speedup = bitset["elapsed"] / native_run["elapsed"]
+    print("\n\n=== Propagation-kernel throughput (ms bitset / ms native) ===")
     print(
         format_table(
             ["Benchmark", "ac3", "enhanced", "fc", f"mc x{MC_CHAINS}", "speedup"],
@@ -209,34 +200,16 @@ def test_parity_and_speedup(benchmark):
         )
     )
     print(
-        f"suite: bitset {bitset['elapsed']:.3f}s, numpy "
-        f"{numpy_run['elapsed']:.3f}s -> {speedup:.2f}x "
-        f"(gate {'>= %.1fx' % REQUIRED_SPEEDUP if GATE else 'off'})"
+        f"suite: bitset {bitset['elapsed']:.3f}s, native "
+        f"{native_run['elapsed']:.3f}s -> {speedup:.2f}x "
+        f"(gate {'>= %.1fx' % NATIVE_REQUIRED_SPEEDUP if NATIVE_GATE else 'off'})"
     )
-    benchmark.extra_info.update({"speedup": speedup, "gated": GATE})
-    if native_run is not None:
-        native_speedup = numpy_run["elapsed"] / native_run["elapsed"]
-        native_vs_bitset = bitset["elapsed"] / native_run["elapsed"]
-        print(
-            f"native: {native_run['elapsed']:.3f}s -> {native_speedup:.2f}x "
-            f"over numpy, {native_vs_bitset:.2f}x over bitset "
-            f"(gate {'>= %.1fx' % NATIVE_REQUIRED_SPEEDUP if NATIVE_GATE else 'off'})"
-        )
-        benchmark.extra_info.update(
-            {
-                "native_speedup_vs_numpy": native_speedup,
-                "native_speedup_vs_bitset": native_vs_bitset,
-                "native_gated": NATIVE_GATE,
-            }
-        )
-    if GATE:
-        assert speedup >= REQUIRED_SPEEDUP, (
-            f"numpy engine is {speedup:.2f}x the bitset engine; "
-            f"the vectorized kernel must deliver >= {REQUIRED_SPEEDUP}x"
-        )
-    if native_run is not None and NATIVE_GATE:
-        assert native_speedup >= NATIVE_REQUIRED_SPEEDUP, (
-            f"native engine is {native_speedup:.2f}x the numpy engine; "
+    benchmark.extra_info.update(
+        {"native_speedup_vs_bitset": speedup, "native_gated": NATIVE_GATE}
+    )
+    if NATIVE_GATE:
+        assert speedup >= NATIVE_REQUIRED_SPEEDUP, (
+            f"native engine is {speedup:.2f}x the bitset engine; "
             f"the C kernel must deliver >= {NATIVE_REQUIRED_SPEEDUP}x "
             f"(tune with REPRO_BENCH_NATIVE_GATE)"
         )
@@ -248,7 +221,8 @@ def test_observability_overhead(benchmark, networks):
     Deliberately independent of ``_runs`` (the engine benchmarks above
     own that): this test times its own suite pair, once with the
     ambient observability APIs disabled (the default) and once inside a
-    worker-style :func:`repro.obs.capture`, and gates the ratio.
+    worker-style :func:`repro.obs.capture`, and gates the ratio.  The
+    mix runs on the native engine, or on bitset without a compiler.
     """
     from repro.obs import capture
     from repro.obs import metrics as obs_metrics
@@ -264,12 +238,13 @@ def test_observability_overhead(benchmark, networks):
     assert obs_metrics.get_registry().snapshot() == before
 
     kernels = {name: networks[name].kernel() for name in BENCHMARK_NAMES}
-    for kernel in kernels.values():
-        as_vectorized(kernel)
+    engine = "native" if native_available() else "bitset"
+    if engine == "native":
+        _warm_native(kernels)
 
     def suite() -> None:
         for kernel in kernels.values():
-            _run_mix(kernel, "numpy")
+            _run_mix(kernel, engine)
 
     def traced_suite():
         with capture("bench_overhead") as captured:
@@ -295,7 +270,7 @@ def test_observability_overhead(benchmark, networks):
         {"obs_overhead_fraction": overhead, "gated": OBS_GATE}
     )
     print(
-        f"\nobservability overhead: untraced {min(plain_runs):.3f}s, "
+        f"\nobservability overhead ({engine}): untraced {min(plain_runs):.3f}s, "
         f"traced {min(traced_runs):.3f}s -> {overhead * 100:+.2f}% "
         f"(gate {'<= %.0f%%' % (OBS_MAX_OVERHEAD * 100) if OBS_GATE else 'off'})"
     )

@@ -1,22 +1,16 @@
 #!/usr/bin/env python
-"""Measure the engine-ladder crossovers on this host.
+"""Measure the native-engine crossover on this host.
 
 The ``auto`` engine resolution (:func:`repro.csp.vectorized.resolve_engine`)
-and AC-3's per-arc routing are driven by three measured constants:
+is driven by one measured constant, ``NATIVE_MIN_SUPPORT_CELLS``: the
+network size (directed support cells) from which the native C kernel
+beats the bitset loops.
 
-* ``NATIVE_MIN_SUPPORT_CELLS`` -- the network size (directed support
-  cells) above which the native C kernel beats the bitset loops;
-* ``AUTO_MIN_SUPPORT_CELLS``   -- where the numpy planes beat the
-  bitset loops (the rung used when native is unavailable);
-* ``AC3_ARC_CROSSOVER_CELLS``  -- the per-arc support-matrix size
-  above which a numpy whole-domain revision beats the bitset loop
-  inside a numpy-resolved AC-3 run.
-
-The shipped defaults were measured on one development host; this
-script re-measures them on *your* hardware and prints ready-to-paste
-environment overrides (each constant reads its ``REPRO_*`` variable at
-import).  The constants only steer ``auto`` cost -- results are
-byte-identical on every engine -- so a stale calibration is never
+The shipped default was measured on one development host; this script
+re-measures it on *your* hardware and prints a ready-to-paste
+environment override (the constant reads its ``REPRO_*`` variable at
+import).  The constant only steers ``auto`` cost -- results are
+byte-identical on both engines -- so a stale calibration is never
 wrong, only slower.
 
 Usage::
@@ -34,18 +28,15 @@ import time
 from repro.csp.compiled import compile_network
 from repro.csp.minconflicts import MinConflictsSolver
 from repro.csp.random_networks import random_network
-from repro.csp.vectorized import (
-    numpy_available,
-    native_available,
-    support_cells,
-)
+from repro.csp.vectorized import native_available, support_cells
 
 
 def _time_solve(kernel, engine: str, repeats: int) -> float:
     """Median seconds for the calibration workload on one engine.
 
     A short min-conflicts walk is the propagation-dominated workload
-    the ladder optimizes for (the Table 2 serving mix's hot spot).
+    the engine choice optimizes for (the Table 2 serving mix's hot
+    spot).
     """
     samples = []
     solver = MinConflictsSolver(seed=1, max_steps=60, max_restarts=1, engine=engine)
@@ -71,11 +62,6 @@ def _ladder(repeats: int):
         (14, 10),
         (20, 12),
     ]
-    engines = ["bitset"]
-    if numpy_available():
-        engines.append("numpy")
-    if native_available():
-        engines.append("native")
     rows = []
     for variables, domain in shapes:
         network = random_network(
@@ -84,58 +70,23 @@ def _ladder(repeats: int):
         kernel = compile_network(network)
         cells = support_cells(kernel)
         timing = {
-            engine: _time_solve(kernel, engine, repeats) for engine in engines
+            engine: _time_solve(kernel, engine, repeats)
+            for engine in ("bitset", "native")
         }
         rows.append((cells, timing))
     rows.sort(key=lambda row: row[0])
     return rows
 
 
-def _crossover(rows, challenger: str, champion: str = "bitset") -> int | None:
-    """Smallest cell count from which the challenger stays ahead."""
+def _crossover(rows) -> int | None:
+    """Smallest cell count from which native stays ahead of bitset."""
     candidate = None
     for cells, timing in rows:
-        if challenger not in timing:
-            return None
-        if timing[challenger] <= timing[champion]:
+        if timing["native"] <= timing["bitset"]:
             if candidate is None:
                 candidate = cells
         else:
             candidate = None  # must win from here *up*, not once
-    return candidate
-
-
-def _ac3_arc_crossover(repeats: int) -> int | None:
-    """Per-arc revision: bitset loop vs numpy masked-any, by width."""
-    if not numpy_available():
-        return None
-    from repro.csp.arc_consistency import _ac3_numpy
-
-    candidate = None
-    for domain in (2, 4, 8, 16, 24, 32, 48, 64):
-        network = random_network(
-            2, domain, density=1.0, tightness=0.25, seed=11
-        )
-        kernel = compile_network(network)
-        cells = domain * domain
-
-        def run(crossover: int) -> float:
-            samples = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                for _ in range(30):
-                    _ac3_numpy(kernel, crossover)
-                samples.append(time.perf_counter() - start)
-            return statistics.median(samples)
-
-        run(0)  # warm the planes outside the clock
-        pure_numpy = run(0)  # crossover 0: every arc on numpy
-        pure_bitset = run(1 << 30)  # huge crossover: every arc on bitset
-        if pure_numpy <= pure_bitset:
-            if candidate is None:
-                candidate = cells
-        else:
-            candidate = None
     return candidate
 
 
@@ -149,38 +100,29 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    print("engine availability: numpy =", numpy_available(), "| native =", native_available())
+    if not native_available():
+        print("native kernel unavailable (no C compiler); nothing to tune")
+        return 0
     rows = _ladder(args.repeats)
-    engines = list(rows[0][1])
-    header = "cells".rjust(8) + "".join(e.rjust(12) for e in engines)
-    print("\ncalibration ladder (median seconds per solve):")
-    print(header)
+    print("calibration ladder (median seconds per solve):")
+    print("cells".rjust(8) + "bitset".rjust(12) + "native".rjust(12))
     for cells, timing in rows:
         print(
             str(cells).rjust(8)
-            + "".join(f"{timing[e] * 1e6:9.0f}us".rjust(12) for e in engines)
+            + "".join(
+                f"{timing[e] * 1e6:9.0f}us".rjust(12) for e in ("bitset", "native")
+            )
         )
 
-    suggestions: dict[str, int] = {}
-    native_cells = _crossover(rows, "native")
-    if native_cells is not None:
-        suggestions["REPRO_NATIVE_MIN_SUPPORT_CELLS"] = native_cells
-    numpy_cells = _crossover(rows, "numpy")
-    if numpy_cells is not None:
-        suggestions["REPRO_AUTO_MIN_SUPPORT_CELLS"] = numpy_cells
-    arc_cells = _ac3_arc_crossover(args.repeats)
-    if arc_cells is not None:
-        suggestions["REPRO_AC3_ARC_CROSSOVER_CELLS"] = arc_cells
-
-    if not suggestions:
-        print("\nno crossovers found (single-engine host); nothing to tune")
+    native_cells = _crossover(rows)
+    if native_cells is None:
+        print("\nnative never stays ahead on this host; nothing to tune")
         return 0
-    print("\nready-to-paste overrides for this host:")
-    for name, value in suggestions.items():
-        print(f"export {name}={value}")
+    print("\nready-to-paste override for this host:")
+    print(f"export REPRO_NATIVE_MIN_SUPPORT_CELLS={native_cells}")
     print(
-        "\n(the constants steer only the auto engine choice; results are\n"
-        "byte-identical on every engine, so these are pure cost knobs)"
+        "\n(the constant steers only the auto engine choice; results are\n"
+        "byte-identical on both engines, so it is a pure cost knob)"
     )
     return 0
 

@@ -8,12 +8,9 @@ daemon twice and asserts:
 * the second pass serves **>= 50%** of requests from the daemon's
   sharded cache;
 * solve payloads are byte-identical across the two passes;
-* when the numpy engine served misses on a multi-worker daemon, at
-  least one warm worker **attached** the shared-memory vectorized
-  kernel published by a sibling (the ``engines`` breakdown in the
-  daemon's ``stats`` response) instead of rebuilding it per process;
-* the ``engines`` breakdown attributes the first pass's worker
-  misses to some propagation tier (``native``/``numpy``/``bitset``;
+* the ``engines`` breakdown in the daemon's ``stats`` response
+  attributes the first pass's worker misses to some propagation
+  tier (``native``/``bitset``;
   which one the ``auto`` crossover picks is host- and size-dependent,
   but a silent zero row means the telemetry seam broke);
 * every request is sent with ``"trace": true`` and every response's
@@ -175,19 +172,7 @@ def main(argv: list[str]) -> int:
 
     engines = stats.get("engines", {})
     print(f"daemon engines: {engines}")
-    workers = hello["result"].get("workers", 1)
-    if hello["result"].get("numpy") and workers >= 2 and engines.get("numpy", 0) >= 2:
-        attached = engines.get("shared_attached", 0)
-        if attached < 1:
-            print(
-                "FAIL: numpy misses on a multi-worker daemon must attach "
-                "the shared vectorized kernel at least once "
-                f"(engines={engines})"
-            )
-            return 1
-        print(f"OK: {attached} shared-kernel attach(es) across warm workers")
-
-    tier_total = sum(engines.get(tier, 0) for tier in ("native", "numpy", "bitset"))
+    tier_total = sum(engines.get(tier, 0) for tier in ("native", "bitset"))
     if tier_total < 1:
         print(
             "FAIL: the first pass dispatched misses to workers, so the "

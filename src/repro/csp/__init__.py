@@ -9,11 +9,11 @@
   runs its inner loop on this kernel.  Its ``enumerate_solutions`` is
   the deterministic, depth-first top-k enumeration (it stops at
   ``limit``) that the refine and joint passes draw alternatives from.
-* :mod:`repro.csp.vectorized` -- the numpy *acceleration* tier: dense
-  support matrices and batched array operations behind every solver's
-  ``engine="bitset" | "numpy" | "auto"`` knob, parity-preserving
-  (identical RNG streams, counters and solutions), plus zero-copy
-  shared-memory kernel sharing for resident worker pools.
+* :mod:`repro.csp.vectorized` -- engine resolution behind every
+  solver's ``engine="bitset" | "native" | "auto"`` knob: ``bitset`` is
+  the reference semantics and compilerless fallback, ``native`` (the C
+  kernel in :mod:`repro.csp.native`) reproduces it byte for byte
+  (identical RNG streams, counters and solutions) where it pays.
 * :mod:`repro.csp.stats` -- search instrumentation shared by all
   solvers (nodes, backtracks, backjumps, consistency checks, time).
 * :mod:`repro.csp.backtracking` -- the paper's *base scheme*:
@@ -36,11 +36,8 @@
 from repro.csp.network import BinaryConstraint, ConstraintNetwork
 from repro.csp.compiled import CompiledNetwork, compile_network
 from repro.csp.vectorized import (
-    VectorizedKernel,
-    as_vectorized,
     batch_min_conflicts,
     native_available,
-    numpy_available,
     resolve_engine,
 )
 from repro.csp.stats import SolverStats, SolverResult
@@ -58,11 +55,8 @@ __all__ = [
     "ConstraintNetwork",
     "CompiledNetwork",
     "compile_network",
-    "VectorizedKernel",
-    "as_vectorized",
     "batch_min_conflicts",
     "native_available",
-    "numpy_available",
     "resolve_engine",
     "SolverStats",
     "SolverResult",

@@ -16,39 +16,20 @@ per network):
 
 * ``bitset``: a value survives iff its support bitmask intersects the
   source's live domain mask -- one AND per live value;
-* ``numpy``: the whole-domain revision is one masked ``any`` over the
-  arc's dense support matrix (:mod:`repro.csp.vectorized`), with
-  identical queue discipline, revision counts and pruned domains.
-
-``auto`` additionally sizes the choice *per arc*: a numpy revision
-costs flat array-dispatch overhead that only pays for itself on wide
-arcs (measured crossover recorded as
-:data:`~repro.csp.vectorized.AC3_ARC_CROSSOVER_CELLS`), so on a
-mixed-width network the numpy loop revises narrow arcs with the bitset
-kernel and wide arcs with the dense matrix.  Both representations of
-the live domains are kept in sync, and revisions, removed counts and
-reduced domains are engine-independent either way.
+* ``native``: the same loop, queue discipline included, as one C call
+  (:mod:`repro.csp.native`), with identical revision counts and pruned
+  domains.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 from repro.csp.compiled import CompiledNetwork, as_compiled, iter_bits
 from repro.csp.network import ConstraintNetwork
-from repro.csp.vectorized import (
-    AC3_ARC_CROSSOVER_CELLS,
-    ENGINE_AUTO,
-    ENGINE_BITSET,
-    ENGINE_ENV,
-    ENGINE_NATIVE,
-    ENGINE_NUMPY,
-    as_vectorized,
-    resolve_engine,
-)
+from repro.csp.vectorized import ENGINE_AUTO, ENGINE_NATIVE, resolve_engine
 
 Value = Hashable
 
@@ -62,16 +43,12 @@ class ArcConsistencyResult:
         domains: the reduced domains (meaningful only when consistent).
         revisions: number of arc revisions performed.
         removed: total number of values pruned.
-        arc_engines: revision counts by the engine that ran them
-            (``{"bitset": n, "numpy": m}``) -- the per-arc ``auto``
-            crossover's observable; totals always equal ``revisions``.
     """
 
     consistent: bool
     domains: dict[str, tuple[Value, ...]]
     revisions: int
     removed: int
-    arc_engines: dict[str, int] = field(default_factory=dict)
 
 
 def ac3(
@@ -87,14 +64,6 @@ def ac3(
     resolved = resolve_engine(engine, kernel)
     if resolved == ENGINE_NATIVE:
         return _ac3_native(kernel)
-    if resolved == ENGINE_NUMPY:
-        # The per-arc crossover applies only to a genuine ``auto``:
-        # an explicit spec or the environment override pins one engine
-        # for the whole run (kernel-parity CI forces pure numpy).
-        crossover = 0
-        if engine == ENGINE_AUTO and not os.environ.get(ENGINE_ENV, "").strip():
-            crossover = AC3_ARC_CROSSOVER_CELLS
-        return _ac3_numpy(kernel, crossover)
     masks = list(kernel.full_masks)
     queue, pending = _seed_queue(kernel)
 
@@ -117,18 +86,14 @@ def ac3(
                 pruned_here = True
         masks[target] = surviving
         if not surviving:
-            return ArcConsistencyResult(
-                False, {}, revisions, removed, {ENGINE_BITSET: revisions}
-            )
+            return ArcConsistencyResult(False, {}, revisions, removed)
         if pruned_here:
             _requeue_neighbors(kernel, target, source, queue, pending)
     domains = {
         kernel.names[i]: tuple(kernel.domains[i][value] for value in iter_bits(masks[i]))
         for i in range(kernel.variable_count)
     }
-    return ArcConsistencyResult(
-        True, domains, revisions, removed, {ENGINE_BITSET: revisions}
-    )
+    return ArcConsistencyResult(True, domains, revisions, removed)
 
 
 def _seed_queue(
@@ -167,105 +132,18 @@ def _ac3_native(kernel: CompiledNetwork) -> ArcConsistencyResult:
 
     The native kernel replicates the seeding order, the pending-set
     dedup and the requeue wave exactly, so revisions, removed counts
-    and the reduced domains match the bitset loop bit for bit.  Every
-    arc is revised natively (no per-arc engine split: the C revision
-    beats the bitset loop at every measured arc width).
+    and the reduced domains match the bitset loop bit for bit.
     """
     from repro.csp.native import ops as native_ops
 
     consistent, masks, revisions, removed = native_ops.ac3(kernel)
-    engines = {ENGINE_NATIVE: revisions}
     if not consistent:
-        return ArcConsistencyResult(False, {}, revisions, removed, engines)
+        return ArcConsistencyResult(False, {}, revisions, removed)
     domains = {
         kernel.names[i]: tuple(
             kernel.domains[i][value] for value in iter_bits(masks[i])
         )
         for i in range(kernel.variable_count)
     }
-    return ArcConsistencyResult(True, domains, revisions, removed, engines)
+    return ArcConsistencyResult(True, domains, revisions, removed)
 
-
-def _ac3_numpy(
-    kernel: CompiledNetwork, crossover: int = 0
-) -> ArcConsistencyResult:
-    """The numpy revision loop: one masked ``any`` per arc.
-
-    Arcs narrower than ``crossover`` directed support cells are revised
-    with the bitset kernel instead (``crossover=0`` keeps every arc on
-    numpy).  The live domains are held both as bitmasks and as a bool
-    plane; a prune through either engine updates both, so any arc can
-    be revised by either engine at any point and the outcome -- pruned
-    domains, revision count, removed count, requeue wave -- is
-    identical to a single-engine run.
-    """
-    import numpy as np
-
-    vectorized = as_vectorized(kernel)
-    count = vectorized.variable_count
-    dom = vectorized.domain_size_list
-    live = np.zeros((count, vectorized.max_domain), dtype=bool)
-    for i in range(count):
-        live[i, : dom[i]] = True
-    masks = list(kernel.full_masks)
-    supports = kernel.supports
-    queue, pending = _seed_queue(kernel)
-
-    engines = {ENGINE_BITSET: 0, ENGINE_NUMPY: 0}
-    revisions = 0
-    removed = 0
-    while queue:
-        arc = queue.popleft()
-        pending.discard(arc)
-        target, source = arc
-        revisions += 1
-        target_dom = dom[target]
-        pruned_here = 0
-        if target_dom * dom[source] < crossover:
-            engines[ENGINE_BITSET] += 1
-            support = supports[(target, source)]
-            source_mask = masks[source]
-            surviving_mask = masks[target]
-            for value in iter_bits(masks[target]):
-                if not support[value] & source_mask:
-                    surviving_mask ^= 1 << value
-                    pruned_here += 1
-            if pruned_here:
-                masks[target] = surviving_mask
-                live[target, :target_dom] = _unpack_mask(
-                    np, surviving_mask, target_dom
-                )
-        else:
-            engines[ENGINE_NUMPY] += 1
-            matrix = vectorized.support_matrix(
-                target, vectorized.slot_of[(target, source)]
-            )
-            supported = (matrix & live[source, : dom[source]]).any(axis=1)
-            current = live[target, :target_dom]
-            surviving = current & supported
-            pruned_here = int(current.sum() - surviving.sum())
-            if pruned_here:
-                live[target, :target_dom] = surviving
-                masks[target] = int.from_bytes(
-                    np.packbits(surviving, bitorder="little").tobytes(), "little"
-                )
-        if pruned_here:
-            removed += pruned_here
-            if not masks[target]:
-                return ArcConsistencyResult(False, {}, revisions, removed, engines)
-            _requeue_neighbors(kernel, target, source, queue, pending)
-    domains = {
-        kernel.names[i]: tuple(
-            kernel.domains[i][value] for value in iter_bits(masks[i])
-        )
-        for i in range(count)
-    }
-    return ArcConsistencyResult(True, domains, revisions, removed, engines)
-
-
-def _unpack_mask(np, mask: int, width: int):
-    """A live-domain bitmask as a bool row of ``width`` entries."""
-    packed = np.frombuffer(
-        mask.to_bytes((width + 7) // 8, "little"), dtype=np.uint8
-    )
-    return np.unpackbits(packed, bitorder="little")[:width].astype(bool)

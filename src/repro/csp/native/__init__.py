@@ -10,10 +10,9 @@ keyed ``.so`` (:mod:`repro.csp.native.build`) and loaded via ctypes --
 no new Python dependencies, and no numpy requirement either.
 
 Engine dispatch lives in :func:`repro.csp.vectorized.resolve_engine`;
-parity with the bitset and numpy engines -- identical solutions, RNG
-streams and machine-independent effort counters -- is pinned by the
-three-engine hypothesis suite in
-``tests/csp/test_native_equivalence.py``.
+parity with the bitset engine -- identical solutions, RNG streams and
+machine-independent effort counters -- is pinned by the hypothesis
+suite in ``tests/csp/test_native_equivalence.py``.
 """
 
 from repro.csp.native.build import (

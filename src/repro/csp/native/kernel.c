@@ -18,7 +18,7 @@
  * accounting, same RNG stream (a byte-exact reimplementation of
  * CPython's MT19937 seeding and _randbelow rejection sampling) -- so
  * solutions, effort counters and random walks are indistinguishable
- * from the bitset and numpy engines.
+ * from the bitset engine.
  */
 
 #include <stdint.h>
@@ -592,7 +592,7 @@ REPRO_EXPORT int64_t repro_mcv_select(
 
 /* Least-constraining value: sum static support popcounts over live
  * neighbors, order values by descending total with index-ascending
- * ties (numpy's stable argsort of -totals).  Returns the checks
+ * ties (a stable sort of -totals).  Returns the checks
  * charge: dom[variable] * sum of live neighbors' domain sizes. */
 REPRO_EXPORT int64_t repro_lcv_order(
     int64_t variable, int64_t max_domain, const int64_t *dom,

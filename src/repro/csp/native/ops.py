@@ -4,8 +4,8 @@
 into the plain C-friendly arrays ``kernel.c`` operates on -- CSR
 directed-arc tables and multiword uint64 support rows -- using the
 stdlib ``array`` module (no numpy dependency; pointers come from
-``array.buffer_info()``).  Like the numpy planes, the lowering is
-cached on the compiled kernel (``_native_cache``, excluded from
+``array.buffer_info()``).  The lowering is cached on the compiled
+kernel (``_native_cache``, excluded from
 pickling) so repeated solves on one network pay for it once.
 
 The wrapper functions return plain Python data (masks as ints, values
@@ -298,12 +298,11 @@ def min_conflicts(
 class NativeOrderings:
     """Per-solve native state for the enhanced ordering heuristics.
 
-    The drop-in counterpart of the numpy engine's ``_VecOrderings``:
-    the search loop flips ``unassigned[variable]`` and the two
-    selection calls run as single C walks over the CSR arc tables with
-    the identical MaskedLexArgmin key encoding, so the chosen variable
-    and value orders (and the checks accounting) match the bitset and
-    numpy engines bit for bit.
+    The search loop flips ``unassigned[variable]`` and the two
+    selection calls run as single C walks over the CSR arc tables,
+    with the bitset rules' lexicographic keys packed into one integer
+    per variable, so the chosen variable and value orders (and the
+    checks accounting) match the bitset engine bit for bit.
     """
 
     def __init__(self, kernel: CompiledNetwork):
@@ -311,9 +310,10 @@ class NativeOrderings:
         self.nk = nk
         count = nk.count
         self.unassigned = array("q", [1] * count) if count else array("q")
-        # Reference key: (-future_degree, -total_degree, domain, rank),
-        # encoded ascending exactly as _VecOrderings builds its static
-        # tail for MaskedLexArgmin.
+        # Reference key: (-future_degree, -total_degree, domain, rank).
+        # The static tail is packed ascending into one integer; the C
+        # argmin scales the dynamic digit above it, and the unique rank
+        # digit makes its first minimum the reference ``min``.
         static = [
             ((count - nk.degree_list[v]) * (nk.max_domain + 2) + nk.dom_list[v])
             * (count + 1)

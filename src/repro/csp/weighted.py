@@ -18,14 +18,6 @@ from typing import Hashable, Mapping
 from repro.csp.compiled import CompiledNetwork, as_compiled
 from repro.csp.network import ConstraintNetwork
 from repro.csp.stats import SolverStats, Stopwatch
-from repro.csp.vectorized import (
-    ENGINE_AUTO,
-    ENGINE_NATIVE,
-    ENGINE_NUMPY,
-    as_vectorized,
-    numpy_available,
-    resolve_engine,
-)
 
 Value = Hashable
 
@@ -109,18 +101,11 @@ class BranchAndBoundSolver:
     when the weight already lost (violated constraints among assigned
     variables) cannot be recovered.  The inner loop runs on the
     compiled kernel: a violation test is one shift-and-mask, weights
-    are looked up per index pair.  The numpy engine
-    (:mod:`repro.csp.vectorized`) computes each frame's per-value
-    penalty vector with one support-column accumulation per
-    instantiated neighbor -- same traversal, same effort counters, and
-    bit-identical weights (the float additions happen in the same
-    order).
+    are looked up per index pair.  There is no native lowering, so
+    this solver takes no ``engine=`` knob.
     """
 
     name = "branch-and-bound"
-
-    def __init__(self, engine: str = ENGINE_AUTO):
-        self._engine = engine
 
     def solve(self, weighted: WeightedNetwork) -> WeightedResult:
         """Find the assignment maximizing satisfied weight (exact)."""
@@ -166,16 +151,6 @@ class BranchAndBoundSolver:
         # never normalizes a pair.
         for (first, second), weight in list(weight_of.items()):
             weight_of[(second, first)] = weight
-        vectorized = None
-        resolved = resolve_engine(self._engine, kernel)
-        # Branch-and-bound pricing has no C lowering; the native tier
-        # borrows the numpy frame evaluator when the planes exist and
-        # otherwise runs the plain per-pair loop (same search, same
-        # result either way).
-        if resolved == ENGINE_NUMPY or (
-            resolved == ENGINE_NATIVE and numpy_available()
-        ):
-            vectorized = as_vectorized(kernel)
         stats = SolverStats()
         with Stopwatch(stats):
             order = sorted(
@@ -187,12 +162,6 @@ class BranchAndBoundSolver:
             best_lost = float("inf")
             supports = kernel.supports
             neighbors = kernel.neighbors
-            if vectorized is not None:
-                import numpy as np
-
-                penalty_frame = self._penalty_frame(
-                    np, vectorized, weight_of, values
-                )
 
             def search(index: int, lost: float) -> None:
                 nonlocal best, best_lost
@@ -203,17 +172,6 @@ class BranchAndBoundSolver:
                     best_lost = lost
                     return
                 variable = order[index]
-                if vectorized is not None:
-                    # Instantiated neighbors are fixed for the whole
-                    # frame: price every candidate value in one pass.
-                    penalties, instantiated = penalty_frame(variable)
-                    for value in range(kernel.domain_size(variable)):
-                        stats.nodes += 1
-                        stats.consistency_checks += instantiated
-                        values[variable] = value
-                        search(index + 1, lost + penalties[value])
-                        values[variable] = None
-                    return
                 for value in range(kernel.domain_size(variable)):
                     stats.nodes += 1
                     additional = 0.0
@@ -234,36 +192,3 @@ class BranchAndBoundSolver:
         total = sum(weight for pair, weight in weight_of.items() if pair[0] < pair[1])
         return WeightedResult(best, total - best_lost, total, stats)
 
-    @staticmethod
-    def _penalty_frame(np, vectorized, weight_of, values):
-        """Build the per-frame penalty evaluator for the numpy engine.
-
-        Returns a callable mapping a variable to ``(penalties,
-        instantiated_count)`` where ``penalties[a]`` is the weight lost
-        by assigning value ``a`` given the currently instantiated
-        neighbors.  The accumulation adds the same weights in the same
-        neighbor order as the bitset loop (plus exact zeros for
-        satisfied pairs), so the floats are bit-identical.
-        """
-        count = vectorized.variable_count
-        weight_rows = np.zeros((count, max(1, vectorized.max_degree)))
-        for v in range(count):
-            for d, n in enumerate(vectorized.neighbor_lists[v]):
-                weight_rows[v, d] = weight_of[(v, n)]
-
-        def penalty_frame(variable):
-            domain = vectorized.domain_size_list[variable]
-            penalties = np.zeros(domain)
-            instantiated = 0
-            for d, neighbor in enumerate(vectorized.neighbor_lists[variable]):
-                neighbor_value = values[neighbor]
-                if neighbor_value is None:
-                    continue
-                instantiated += 1
-                column = vectorized.support_tensor[
-                    variable, d, :domain, neighbor_value
-                ]
-                penalties = penalties + weight_rows[variable, d] * (1.0 - column)
-            return penalties.tolist(), instantiated
-
-        return penalty_frame

@@ -107,13 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=("auto", "bitset", "numpy", "native"),
+        choices=("auto", "bitset", "native"),
         default="auto",
         help=(
             "propagation kernel: the machine-int bitset engine, the "
-            "vectorized numpy engine, the compiled-C native engine, "
-            "or auto-sized per network (default auto; results are "
-            "identical either way)"
+            "compiled-C native engine, or auto-sized per network "
+            "(default auto; results are identical either way)"
         ),
     )
     parser.add_argument(
@@ -359,17 +358,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.engine != "auto":
         # The env override propagates the forced engine into every
         # pool worker this process spawns.
-        # The env resolution path soft-degrades on numpy-free hosts
+        # The env resolution path soft-degrades on compilerless hosts
         # (right for a fleet-wide knob, wrong for an explicit flag),
         # so reject the impossible request here instead.
-        from repro.csp.vectorized import (
-            ENGINE_ENV,
-            native_available,
-            numpy_available,
-        )
+        from repro.csp.vectorized import ENGINE_ENV, native_available
 
-        if args.engine == "numpy" and not numpy_available():
-            raise SystemExit("--engine numpy requires numpy, which is not installed")
         if args.engine == "native" and not native_available():
             raise SystemExit(
                 "--engine native requires a C compiler (cc/gcc/clang) "

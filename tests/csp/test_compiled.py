@@ -4,9 +4,12 @@ import pickle
 
 import pytest
 
+from repro.bench import benchmark_build_options, build_benchmark
+from repro.csp.arc_consistency import ac3
 from repro.csp.compiled import CompiledNetwork, as_compiled, compile_network, iter_bits
 from repro.csp.network import ConstraintNetwork
 from repro.csp.random_networks import random_network
+from repro.opt.network_builder import build_layout_network
 from tests.csp.test_network import paper_example_network
 
 
@@ -148,6 +151,14 @@ class TestPickling:
         assert clone.supports == kernel.supports
         assert clone.canonical_form() == kernel.canonical_form()
 
+    def test_pickle_excludes_the_native_lowering(self):
+        kernel = compile_network(paper_example_network())
+        # A ctypes handle does not pickle; a lambda stands in for it.
+        kernel._native_cache = lambda: None
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert getattr(clone, "_native_cache", None) is None
+        assert clone.supports == kernel.supports
+
 
 class TestIterBits:
     @pytest.mark.parametrize(
@@ -156,3 +167,56 @@ class TestIterBits:
     )
     def test_ascending_positions(self, mask, expected):
         assert list(iter_bits(mask)) == expected
+
+    def test_wide_sparse_masks(self):
+        positions = [0, 1, 62, 63, 64, 65, 126, 200, 1000, 4095]
+        mask = sum(1 << p for p in positions)
+        assert list(iter_bits(mask)) == positions
+        dense = (1 << 300) - 1
+        assert list(iter_bits(dense)) == list(range(300))
+
+
+def _ac3_with_duplicate_queue(kernel):
+    """The pre-fix AC-3 loop: arcs re-enqueued while already pending."""
+    from collections import deque
+
+    masks = list(kernel.full_masks)
+    queue = deque()
+    for first, second in kernel.pairs:
+        queue.append((first, second))
+        queue.append((second, first))
+    revisions = 0
+    while queue:
+        target, source = queue.popleft()
+        revisions += 1
+        support = kernel.supports[(target, source)]
+        source_mask = masks[source]
+        surviving = masks[target]
+        pruned_here = False
+        for value in iter_bits(masks[target]):
+            if not support[value] & source_mask:
+                surviving ^= 1 << value
+                pruned_here = True
+        masks[target] = surviving
+        if not surviving:
+            return revisions, masks, False
+        if pruned_here:
+            for neighbor in kernel.neighbors[target]:
+                if neighbor != source:
+                    queue.append((neighbor, target))
+    return revisions, masks, True
+
+
+class TestArcConsistencyQueue:
+    def test_pending_set_cuts_revisions_on_table1_network(self):
+        program = build_benchmark("Med-Im04")
+        kernel = build_layout_network(program, benchmark_build_options()).kernel()
+        duplicated_revisions, masks, consistent = _ac3_with_duplicate_queue(kernel)
+        result = ac3(kernel, engine="bitset")
+        assert result.consistent == consistent
+        # Same fixpoint...
+        for i in range(kernel.variable_count):
+            expected = tuple(kernel.domains[i][value] for value in iter_bits(masks[i]))
+            assert result.domains[kernel.names[i]] == expected
+        # ...for strictly fewer revisions than the duplicating queue.
+        assert result.revisions < duplicated_revisions

@@ -1,11 +1,11 @@
 """Native-kernel build cache and compilerless degradation.
 
 The native tier must never make a host worse: a machine without a C
-compiler (and without a pre-built cache) keeps solving on the numpy or
-bitset engines.  The contract under test:
+compiler (and without a pre-built cache) keeps solving on the bitset
+engine.  The contract under test:
 
 * ``engine="auto"`` and the ``REPRO_CSP_ENGINE=native`` env override
-  silently skip the native rung (the override logs **one** warning per
+  fall back to bitset (the override logs **one** warning per
   process -- the warn-once seam -- while every degraded call is still
   counted through ``repro_engine_degradations_total``);
 * an *explicit* ``engine="native"`` raises instead of degrading (an
@@ -65,8 +65,7 @@ class TestCompilerlessDegradation:
         assert not native_build.usable()
 
     def test_auto_skips_the_native_rung(self, compilerless, kernel):
-        resolved = resolve_engine("auto", kernel)
-        assert resolved in ("numpy", "bitset")
+        assert resolve_engine("auto", kernel) == "bitset"
 
     def test_explicit_native_raises(self, compilerless, kernel):
         with pytest.raises(RuntimeError, match="native"):
@@ -82,8 +81,7 @@ class TestCompilerlessDegradation:
         try:
             with caplog.at_level(logging.WARNING, logger="repro.csp.vectorized"):
                 for _ in range(4):
-                    resolved = resolve_engine("auto", kernel)
-                    assert resolved in ("numpy", "bitset")
+                    assert resolve_engine("auto", kernel) == "bitset"
         finally:
             metrics.set_enabled(False)
             metrics.set_registry(previous)
@@ -101,13 +99,6 @@ class TestCompilerlessDegradation:
         ]
         assert len(rows) == 1
         assert rows[0]["value"] == 4
-
-    def test_env_override_degrades_to_bitset_without_numpy(
-        self, compilerless, kernel, monkeypatch
-    ):
-        monkeypatch.setenv(ENGINE_ENV, "native")
-        monkeypatch.setattr(vectorized, "np", None)
-        assert resolve_engine("auto", kernel) == "bitset"
 
     def test_solvers_still_run(self, compilerless, kernel):
         from repro.csp.enhanced import EnhancedSolver

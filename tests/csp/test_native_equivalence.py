@@ -10,11 +10,9 @@ restarts) -- which also pins the RNG streams, since a diverging stream
 immediately diverges the counters (the C kernel carries its own
 MT19937 replicating CPython's ``random.Random`` exactly).
 
-Mirrors ``test_vectorized_equivalence.py`` one tier down the ladder:
-that suite ties the numpy planes to the bitset kernel, this one ties
-the shared library to it.  The third cross-check (numpy vs native) is
-implied by transitivity but spot-checked here anyway when numpy is
-installed, so a host with all three tiers pins the full triangle.
+Mirrors ``test_compiled_equivalence.py`` one tier down: that suite
+ties the bitset kernel to the legacy object semantics, this one ties
+the shared library to the bitset kernel.
 """
 
 import pytest
@@ -38,7 +36,7 @@ from repro.csp.enhanced import EnhancedSolver, EnhancementConfig
 from repro.csp.forward_checking import ForwardCheckingSolver
 from repro.csp.minconflicts import MinConflictsSolver
 from repro.csp.random_networks import random_network
-from repro.csp.vectorized import batch_min_conflicts, numpy_available
+from repro.csp.vectorized import batch_min_conflicts
 
 #: scheme name -> (seed, engine) -> solver; every systematic scheme.
 ENGINE_SCHEMES = {
@@ -133,24 +131,6 @@ def test_batched_chains_match_sequential_solves(network, chain_count):
         assert counters(result) == counters(standalone)
         if result.satisfiable:
             assert network.is_solution(result.assignment)
-
-
-@given(small_networks(), st.integers(0, 3))
-@settings(max_examples=20, deadline=None)
-def test_three_engine_triangle(network, seed):
-    """With all three tiers present the full triangle agrees."""
-    if not numpy_available():  # pragma: no cover - numpy-free host
-        pytest.skip("numpy tier absent; the pairwise suites cover the rest")
-    kernel = compile_network(network)
-    runs = {
-        engine: EnhancedSolver(seed=seed, engine=engine).solve(kernel)
-        for engine in ("bitset", "numpy", "native")
-    }
-    reference = runs["bitset"]
-    for engine, run in runs.items():
-        assert run.assignment == reference.assignment, engine
-        assert run.complete == reference.complete, engine
-        assert counters(run) == counters(reference), engine
 
 
 def test_forward_checking_budget_cutoff_matches():

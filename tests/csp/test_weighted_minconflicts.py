@@ -1,5 +1,7 @@
 """Tests for weighted networks (branch & bound) and min-conflicts."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from repro.csp.minconflicts import MinConflictsSolver
 from repro.csp.network import ConstraintNetwork
 from repro.csp.random_networks import random_network
+from repro.csp.vectorized import batch_min_conflicts
 from repro.csp.weighted import BranchAndBoundSolver, WeightedNetwork
 from tests.csp.test_network import paper_example_network
 
@@ -128,6 +131,41 @@ class TestMinConflicts:
         result = MinConflictsSolver(seed=seed).solve(network)
         if result.satisfiable:
             assert network.is_solution(result.assignment)
+
+    def test_batch_chains_match_standalone_runs(self):
+        # A loose network: some seeds converge in a few steps, others
+        # wander much longer, so the chains finish at different points.
+        network = random_network(12, 4, 0.4, 0.25, seed=2)
+        seeds = list(range(8))
+        budgets = {"max_steps": 200, "max_restarts": 3}
+        for engine in ("bitset", "auto"):
+            batch = batch_min_conflicts(network, seeds, engine=engine, **budgets)
+            for seed, result in zip(seeds, batch):
+                solo = MinConflictsSolver(
+                    seed=seed, engine="bitset", **budgets
+                ).solve(network)
+                assert result.assignment == solo.assignment, engine
+                assert result.stats.nodes == solo.stats.nodes, engine
+                assert result.stats.restarts == solo.stats.restarts, engine
+                assert (
+                    result.stats.consistency_checks
+                    == solo.stats.consistency_checks
+                ), engine
+
+    def test_batch_deadline_cuts_the_walks_short(self):
+        hard = random_network(30, 6, 0.4, 0.5, seed=4, plant_solution=False)
+        for engine in ("bitset", "auto"):
+            start = time.perf_counter()
+            results = batch_min_conflicts(
+                hard,
+                list(range(8)),
+                max_steps=1_000_000,
+                max_restarts=1_000,
+                engine=engine,
+                deadline_at=time.monotonic() + 0.2,
+            )
+            assert time.perf_counter() - start < 5.0, engine
+            assert all(result.assignment is None for result in results), engine
 
 
 class TestRandomNetworkGenerator:
