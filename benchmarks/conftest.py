@@ -59,9 +59,10 @@ def scheme_outcomes(programs, networks, build_options):
     """Solved layouts + timings per (benchmark, scheme).
 
     Schemes: "heuristic", "base", "enhanced".  Each entry is a dict
-    with keys ``layouts``, ``seconds``, ``nodes`` (None for the
-    heuristic), and ``capped`` (True when the base run hit the node
-    budget and fell back to the enhanced scheme's layouts for Table 3).
+    with keys ``layouts``, ``seconds``, ``nodes`` and
+    ``consistency_checks`` (both None for the heuristic), and
+    ``capped`` (True when the base run hit the node budget and fell
+    back to the enhanced scheme's layouts for Table 3).
     """
     results: dict[str, dict[str, dict]] = {}
     for name, program in programs.items():
@@ -75,6 +76,7 @@ def scheme_outcomes(programs, networks, build_options):
             "layouts": heuristic.layouts,
             "seconds": heuristic.solve_seconds,
             "nodes": None,
+            "consistency_checks": None,
             "capped": False,
         }
 
@@ -86,6 +88,7 @@ def scheme_outcomes(programs, networks, build_options):
             "layouts": _full_layouts(program, enhanced_assignment),
             "seconds": enhanced.stats.time_seconds,
             "nodes": enhanced.stats.nodes,
+            "consistency_checks": enhanced.stats.consistency_checks,
             "capped": False,
         }
 
@@ -101,6 +104,7 @@ def scheme_outcomes(programs, networks, build_options):
             "layouts": _full_layouts(program, assignment),
             "seconds": base.stats.time_seconds,
             "nodes": base.stats.nodes,
+            "consistency_checks": base.stats.consistency_checks,
             "capped": capped,
         }
         results[name] = per_scheme

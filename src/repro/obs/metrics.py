@@ -13,8 +13,7 @@ the global registry with :func:`merge_snapshot`.  Merge is defined as
 *sum* for every instrument kind -- counters add, histogram buckets and
 sums add, and gauges add too (a shipped gauge is a delta by
 convention) -- so the fold is associative and commutative and the
-final registry is independent of worker completion order.  A future
-cluster router rolls up member daemons through this same path.
+final registry is independent of worker completion order.
 
 Like tracing, the module-level convenience API (:func:`counter`,
 :func:`observe`, ...) is off by default and costs one branch when
@@ -268,7 +267,7 @@ class MetricsRegistry:
 
 
 def merge_snapshot(base: Mapping, delta: Mapping) -> dict:
-    """Pure-function merge of two snapshots (for tests and roll-ups)."""
+    """Pure-function merge of two snapshots."""
     registry = MetricsRegistry()
     registry.merge_snapshot(base)
     registry.merge_snapshot(delta)

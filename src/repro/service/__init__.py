@@ -26,19 +26,15 @@ scheme; this package turns it into a serving stack:
   and the synchronous pipelining :class:`DaemonClient` (with
   client-side consistent-hash routing when given several addresses).
 * :mod:`repro.service.routing` -- the consistent-hash ring mapping
-  request fingerprints to cluster members, plus the member-address
-  vocabulary shared by clients, routers and daemons.
-* :mod:`repro.service.cluster` -- the scale-out tier: N daemon
-  members behind a fingerprint-routing :class:`ClusterRouter` with
-  cache peering, failover and cluster-wide stats/metrics roll-up.
+  request fingerprints to daemons for a multi-address client, plus
+  the address vocabulary shared by clients and daemons.
 * :mod:`repro.service.cli` -- the ``python -m repro.service`` front
-  end tying it all together (``--serve`` / ``--serve-cluster`` /
-  ``--connect`` for the daemon and cluster).
+  end tying it all together (``--serve`` / ``--connect`` for the
+  daemon).
 """
 
 from repro.service.batch import BatchReport, run_batch
 from repro.service.cache import CacheStats, ResultCache, ShardedResultCache
-from repro.service.cluster import ClusterConfig, ClusterRouter
 from repro.service.daemon import DaemonConfig, SolverDaemon
 from repro.service.evaluate import (
     EvaluationRequest,
@@ -70,8 +66,6 @@ __all__ = [
     "CacheStats",
     "ResultCache",
     "ShardedResultCache",
-    "ClusterConfig",
-    "ClusterRouter",
     "HashRing",
     "DaemonConfig",
     "SolverDaemon",

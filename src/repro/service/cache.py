@@ -225,8 +225,8 @@ class ResultCache:
         """Size of the persisted cache file (0 when absent/memory-only).
 
         A point-in-time ``os.stat`` of the file as last saved -- not
-        the in-memory footprint -- so cluster roll-ups can compare the
-        on-disk tier across members without opening any shard file.
+        the in-memory footprint -- so ``stats`` and the metrics can
+        report the on-disk tier without opening any shard file.
         """
         if self._path is None:
             return 0

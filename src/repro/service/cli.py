@@ -181,41 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ADDR[,ADDR...]",
         help=(
-            "send this batch to a daemon (or cluster) instead of "
-            "solving here; a comma-separated list enables client-side "
-            "consistent-hash routing straight to each request's owner"
-        ),
-    )
-    daemon.add_argument(
-        "--serve-cluster",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "spawn N cluster member daemons (own process, pool and "
-            "cache shards each) and run the fingerprint-routing "
-            "front end on --socket"
-        ),
-    )
-    daemon.add_argument(
-        "--members",
-        default=None,
-        metavar="ADDR,...",
-        help=(
-            "explicit member addresses: with --serve-cluster the "
-            "members are spawned there; with --serve alone an "
-            "already-running member set is fronted as-is"
-        ),
-    )
-    daemon.add_argument(
-        "--replicas",
-        type=int,
-        default=2,
-        metavar="K",
-        help=(
-            "how many ring-preference members a routed request may "
-            "try before failing (owner + K-1 failover replicas, "
-            "default 2)"
+            "send this batch to a daemon instead of solving here; a "
+            "comma-separated list of daemons routes each request to "
+            "the daemon owning its fingerprint (consistent hashing)"
         ),
     )
     daemon.add_argument(
@@ -381,16 +349,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         raise SystemExit("--workers must be positive")
     if args.random < 0:
         raise SystemExit("--random must be non-negative")
-    serving = args.serve or args.serve_cluster is not None
-    if serving and args.connect:
-        raise SystemExit("--serve/--serve-cluster and --connect are mutually exclusive")
-    if args.serve_cluster is not None and args.serve_cluster < 1:
-        raise SystemExit("--serve-cluster needs at least one member")
-    if args.replicas < 1:
-        raise SystemExit("--replicas must be positive")
-    if args.trace_log and not serving:
+    if args.serve and args.connect:
+        raise SystemExit("--serve and --connect are mutually exclusive")
+    if args.trace_log and not args.serve:
         raise SystemExit("--trace-log requires --serve")
-    if args.passes and (serving or args.connect or args.evaluate):
+    if args.passes and (args.serve or args.connect or args.evaluate):
         raise SystemExit(
             "--passes runs a local pipeline batch; it cannot be combined "
             "with --serve, --connect or --evaluate"
@@ -398,12 +361,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.refine is not None and not args.passes:
         raise SystemExit("--refine requires --passes")
 
-    if args.serve_cluster is not None:
-        return _run_cluster(args, config)
-
     if args.serve:
-        if args.members:
-            return _run_router(args, config)
         return _run_daemon(args, config)
 
     if args.passes:
@@ -554,85 +512,6 @@ def _run_daemon(args, config) -> int:
             socket_path=args.socket,
             trace_log=args.trace_log,
         )
-    except KeyboardInterrupt:
-        return 0
-
-
-def _run_cluster(args, config) -> int:
-    """The ``--serve-cluster N`` path: spawn N member daemons and run
-    the fingerprint-routing front end on ``--socket``."""
-    from repro.service.cluster import serve_cluster
-
-    if not args.socket:
-        raise SystemExit("--serve-cluster requires --socket (router address)")
-    if args.members:
-        members = [m.strip() for m in args.members.split(",") if m.strip()]
-        if len(members) != args.serve_cluster:
-            raise SystemExit(
-                f"--members lists {len(members)} addresses but "
-                f"--serve-cluster asked for {args.serve_cluster}"
-            )
-    print(
-        f"repro layout cluster v{__version__} -- "
-        f"{args.serve_cluster} members, replicas={args.replicas}, "
-        f"portfolio [{', '.join(config.schemes)}], "
-        f"workers={args.workers}/member, router on {args.socket}",
-        file=sys.stderr,
-        flush=True,
-    )
-    base_dir = args.socket + ".members"
-    os.makedirs(base_dir, exist_ok=True)
-    try:
-        return serve_cluster(
-            args.serve_cluster,
-            base_dir,
-            args.socket,
-            replicas=args.replicas,
-            config=config,
-            options=benchmark_build_options(),
-            trace_log=args.trace_log,
-            members=(
-                [m.strip() for m in args.members.split(",") if m.strip()]
-                if args.members
-                else None
-            ),
-            workers=args.workers,
-            max_inflight=args.max_inflight,
-            shards=args.shards,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            ttl_seconds=args.ttl,
-        )
-    except KeyboardInterrupt:
-        return 0
-
-
-def _run_router(args, config) -> int:
-    """The ``--serve --members ...`` path: front an already-running
-    member set with the routing front end (no members are spawned)."""
-    import asyncio
-
-    from repro.service.cluster import ClusterConfig, ClusterRouter
-
-    if not args.socket:
-        raise SystemExit("a router needs --socket (its listen address)")
-    members = tuple(m.strip() for m in args.members.split(",") if m.strip())
-    if not members:
-        raise SystemExit("--members needs at least one address")
-    print(
-        f"repro layout router v{__version__} -- fronting "
-        f"{len(members)} members, replicas={args.replicas}, "
-        f"listening on {args.socket}",
-        file=sys.stderr,
-        flush=True,
-    )
-    router = ClusterRouter(
-        ClusterConfig(members=members, replicas=args.replicas),
-        options=benchmark_build_options(),
-        trace_log=args.trace_log,
-    )
-    try:
-        asyncio.run(router.serve_address(args.socket))
-        return 0
     except KeyboardInterrupt:
         return 0
 

@@ -65,13 +65,7 @@ from repro.opt.passes.base import PASS_SECONDS_METRIC
 from repro.opt.network_builder import BuildOptions
 from repro.service import stream
 from repro.service.cache import ShardedResultCache
-from repro.service.routing import (
-    DEFAULT_VIRTUAL_NODES,
-    HashRing,
-    open_address,
-    parse_address,
-    reclaim_stale_socket,
-)
+from repro.service.routing import parse_address, reclaim_stale_socket
 from repro.service.evaluate import (
     EvaluationRequest,
     EvaluationService,
@@ -90,16 +84,6 @@ logger = logging.getLogger(__name__)
 MAX_REQUEST_BYTES = 64 * 1024
 
 
-def request_too_large_response() -> dict:
-    """The one reply to a line over :data:`MAX_REQUEST_BYTES` (the
-    daemon and the cluster router close the connection after it)."""
-    return stream.error_response(
-        None,
-        f"request line exceeds {MAX_REQUEST_BYTES} bytes",
-        reason=stream.REQUEST_TOO_LARGE,
-    )
-
-
 @dataclass(frozen=True)
 class DaemonConfig:
     """Resident-service knobs (the portfolio itself lives in
@@ -116,17 +100,6 @@ class DaemonConfig:
         network_memo: per-worker bound on memoized built networks.
         save_every: persist dirty shards after this many fresh stores
             (and always on shutdown).
-        peers: all cluster member addresses (unix paths or
-            ``host:port``), *including this daemon's own*.  Empty
-            (the default) runs a classic standalone daemon.  When set,
-            a cache miss on a fingerprint owned by another member asks
-            that owner's cache first -- one bounded hop over the same
-            wire protocol, never recursive -- before paying a solve.
-        self_address: this member's own entry in ``peers``.
-        peer_timeout: bound on one peer cache-lookup hop; on timeout
-            or connection loss the member simply solves locally.
-        virtual_nodes: consistent-hash ring points per member (must
-            match across the cluster so everyone routes identically).
     """
 
     workers: int = 2
@@ -137,10 +110,6 @@ class DaemonConfig:
     ttl_seconds: float | None = None
     network_memo: int = 64
     save_every: int = 64
-    peers: tuple[str, ...] = ()
-    self_address: str | None = None
-    peer_timeout: float = 5.0
-    virtual_nodes: int = DEFAULT_VIRTUAL_NODES
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -157,17 +126,6 @@ class DaemonConfig:
             raise ValueError("network_memo must be positive")
         if self.save_every < 1:
             raise ValueError("save_every must be positive")
-        if self.peers:
-            if self.self_address is None:
-                raise ValueError("clustered daemons need self_address")
-            if self.self_address not in self.peers:
-                raise ValueError(
-                    f"self_address {self.self_address!r} missing from peers"
-                )
-        if self.peer_timeout <= 0:
-            raise ValueError("peer_timeout must be positive")
-        if self.virtual_nodes < 1:
-            raise ValueError("virtual_nodes must be positive")
 
 
 # -- warm worker processes ----------------------------------------------
@@ -332,32 +290,8 @@ class SolverDaemon:
         #: which propagation engine ran.  `scripts/daemon_smoke.py`
         #: asserts on this.
         self.engine_counters = {"bitset": 0, "native": 0}
-        #: Cache-peering breakdown (all zero on a standalone daemon):
-        #: outbound lookups that hit/missed/errored on the owner, and
-        #: inbound ``cache_lookup`` requests this member answered.
-        self.peer_counters = {
-            "hits": 0,
-            "misses": 0,
-            "errors": 0,
-            "lookups_served": 0,
-        }
-        #: The cluster ring (None when standalone).  Built from the
-        #: same member list every other member and every router uses,
-        #: so ownership agrees cluster-wide.
-        self._ring: HashRing | None = (
-            HashRing(
-                self._daemon_config.peers,
-                self._daemon_config.virtual_nodes,
-            )
-            if self._daemon_config.peers
-            else None
-        )
-        # One lazily opened (reader, writer) pair per peer, serialized
-        # by a lock so concurrent misses never interleave lines on the
-        # same connection.
-        self._peer_connections: dict[str, tuple] = {}
-        self._peer_locks: dict[str, asyncio.Lock] = {}
-        self._peer_seq = 0
+        #: Error replies by reason code (every error reply carries one).
+        self.error_counters = dict.fromkeys(stream.ERROR_REASONS, 0)
         #: Wire memo: digest of a request's canonical program wire form
         #: -> its request fingerprint, filled only once the wire decoded
         #: and fingerprinted, so a repeat skips both.  Bounded like the
@@ -396,7 +330,7 @@ class SolverDaemon:
             pass
 
     def close(self) -> None:
-        """Persist the cache, release the pool, unlink shared kernels."""
+        """Persist the cache and release the pool."""
         self.cache.save()
         self._unsaved_stores = 0
         if self._pool is not None:
@@ -418,8 +352,6 @@ class SolverDaemon:
                         worker.pid,
                     )
                     worker.terminate()
-        for address in list(self._peer_connections):
-            self._drop_peer(address)
         if self._trace_writer is not None:
             self._trace_writer.close()
             self._trace_writer = None
@@ -431,9 +363,9 @@ class SolverDaemon:
         try:
             payload = stream.decode_request(line)
         except ProtocolError as exc:
-            self.counters["errors"] += 1
-            request_id = stream.best_effort_id(line)
-            return stream.error_response(request_id, str(exc))
+            return self._error(
+                stream.best_effort_id(line), str(exc), stream.BAD_REQUEST
+            )
         return await self.handle_request(payload)
 
     async def handle_request(self, payload: dict) -> dict:
@@ -459,16 +391,6 @@ class SolverDaemon:
                     "result": self.stats(),
                 }
             if kind == "metrics":
-                if payload.get("raw"):
-                    # Mergeable registry snapshot for cluster roll-up:
-                    # the router folds these member-by-member via
-                    # MetricsRegistry.merge_snapshot (sum semantics).
-                    return {
-                        "id": request_id,
-                        "ok": True,
-                        "kind": "metrics",
-                        "result": {"snapshot": self.metrics_snapshot()},
-                    }
                 return {
                     "id": request_id,
                     "ok": True,
@@ -478,8 +400,6 @@ class SolverDaemon:
                         "content_type": CONTENT_TYPE,
                     },
                 }
-            if kind == "cache_lookup":
-                return self._handle_cache_lookup(payload)
             if kind == "shutdown":
                 self._shutdown.set()
                 return {"id": request_id, "ok": True, "kind": "shutdown"}
@@ -487,12 +407,16 @@ class SolverDaemon:
                 return await self._handle_solve(payload)
             return await self._handle_evaluate(payload)
         except ProtocolError as exc:
-            self.counters["errors"] += 1
-            return stream.error_response(request_id, str(exc))
+            return self._error(request_id, str(exc), stream.BAD_REQUEST)
         except Exception as exc:  # worker/validation failures stay on-wire
-            self.counters["errors"] += 1
             logger.exception("request %r failed", request_id)
-            return stream.error_response(request_id, repr(exc))
+            return self._error(request_id, repr(exc), stream.INTERNAL)
+
+    def _error(self, request_id, message: str, reason: str) -> dict:
+        """An error reply with its reason code, counted by reason."""
+        self.counters["errors"] += 1
+        self.error_counters[reason] += 1
+        return stream.error_response(request_id, message, reason=reason)
 
     def _hello(self, request_id) -> dict:
         result = {
@@ -508,12 +432,6 @@ class SolverDaemon:
             if hasattr(self.cache, "shard_count")
             else 1,
         }
-        if self._ring is not None:
-            result["cluster"] = {
-                "self": self._daemon_config.self_address,
-                "members": list(self._ring.members),
-                "virtual_nodes": self._ring.virtual_nodes,
-            }
         return {
             "id": request_id,
             "ok": True,
@@ -521,33 +439,12 @@ class SolverDaemon:
             "result": result,
         }
 
-    def _handle_cache_lookup(self, payload: dict) -> dict:
-        """Answer a peer's cache probe from the *local* cache only.
-
-        Deliberately never consults the pool, the pending-dispatch
-        table, or other peers: the reply is cheap (control path, no
-        in-flight permit) and peering stays one bounded hop -- a
-        member asking an owner can never trigger a further hop.
-        """
-        self.peer_counters["lookups_served"] += 1
-        cached = self.cache.get(payload["fingerprint"], payload["token"])
-        response = {
-            "id": payload.get("id"),
-            "ok": True,
-            "kind": "cache_lookup",
-            "hit": cached is not None,
-        }
-        if cached is not None:
-            response["result"] = cached
-        return response
-
     def stats(self) -> dict:
         """Serving counters plus cache statistics and engine breakdown."""
         snapshot = {
             "uptime_seconds": time.monotonic() - self._started_at,
             "counters": dict(self.counters),
             "engines": dict(self.engine_counters),
-            "peer": dict(self.peer_counters),
             "wire_memo": {
                 "entries": len(self._wire_memo),
                 **self.wire_memo_counters,
@@ -562,11 +459,6 @@ class SolverDaemon:
             snapshot["cache"]["bytes_on_disk"] = self.cache.bytes_on_disk()
         if hasattr(self.cache, "shard_stats"):
             snapshot["cache"]["shards"] = self.cache.shard_stats()
-        if self._ring is not None:
-            snapshot["cluster"] = {
-                "self": self._daemon_config.self_address,
-                "members": list(self._ring.members),
-            }
         return snapshot
 
     def _pass_stats(self) -> dict:
@@ -615,12 +507,11 @@ class SolverDaemon:
                 {"engine": engine},
                 help="Worker-dispatched misses by engine.",
             ).inc(count)
-        for event, count in self.peer_counters.items():
+        for reason, count in self.error_counters.items():
             registry.counter(
-                "repro_cluster_peer_total",
-                {"event": event},
-                help="Cache-peering lookups by outcome (outbound "
-                "hit/miss/error, inbound lookups_served).",
+                "repro_daemon_errors_total",
+                {"reason": reason},
+                help="Error replies by reason code.",
             ).inc(count)
         for result, count in (
             ("hit", self.wire_memo_counters["hits"]),
@@ -743,11 +634,6 @@ class SolverDaemon:
             token = self._config.token()
         with root.phase("cache_lookup"):
             cached = self.cache.get(fingerprint, token)
-        peer = None
-        if cached is None:
-            cached, peer = await self._maybe_peer_lookup(
-                root, fingerprint, token
-            )
         if cached is not None:
             self.counters["cache_served"] += 1
             with root.phase("encode"):
@@ -761,8 +647,6 @@ class SolverDaemon:
                 "from_cache": True,
                 "result": result,
             }
-            if peer is not None:
-                response["peer"] = peer
             return self._finish(root, payload, response, start)
         if program is None:  # memo hit whose answer left the cache
             with root.phase("decode"):
@@ -796,11 +680,6 @@ class SolverDaemon:
             token = request.token(self._config.token())
         with root.phase("cache_lookup"):
             cached = self.cache.get(fingerprint, token)
-        peer = None
-        if cached is None:
-            cached, peer = await self._maybe_peer_lookup(
-                root, fingerprint, token
-            )
         if cached is not None:
             self.counters["cache_served"] += 1
             with root.phase("encode"):
@@ -813,8 +692,6 @@ class SolverDaemon:
                 "from_cache": True,
                 "result": result,
             }
-            if peer is not None:
-                response["peer"] = peer
             return self._finish(root, payload, response, start)
         data = await self._dispatch(
             fingerprint, token, root, _worker_evaluate, request
@@ -895,88 +772,6 @@ class SolverDaemon:
         if self._unsaved_stores >= self._daemon_config.save_every:
             self.cache.save()
             self._unsaved_stores = 0
-
-    # -- cache peering ---------------------------------------------------
-
-    async def _maybe_peer_lookup(
-        self, root, fingerprint: str, token: str
-    ) -> tuple[dict | None, str | None]:
-        """Ask the fingerprint's owner for its cached result (one hop).
-
-        Returns ``(cached, owner)``; ``(None, None)`` when standalone,
-        when this member *is* the owner, or on a peer miss/failure --
-        every degradation lands on the same safe path: solve locally.
-        A peer hit is served without re-storing locally, so the entry
-        keeps living exactly once (on its owner).
-        """
-        if self._ring is None:
-            return None, None
-        owner = self._ring.owner(fingerprint)
-        if owner == self._daemon_config.self_address:
-            return None, None
-        with root.phase("peer_lookup", owner=owner):
-            cached = await self._peer_lookup(owner, fingerprint, token)
-        if cached is None:
-            return None, None
-        return cached, owner
-
-    async def _peer_lookup(
-        self, owner: str, fingerprint: str, token: str
-    ) -> dict | None:
-        """One bounded ``cache_lookup`` hop to a peer; None on miss or
-        any failure (timeout, connection loss, malformed reply)."""
-        self._peer_seq += 1
-        payload = stream.cache_lookup_request(
-            fingerprint, token, request_id=f"peer-{self._peer_seq}"
-        )
-        try:
-            response = await asyncio.wait_for(
-                self._peer_request(owner, payload),
-                timeout=self._daemon_config.peer_timeout,
-            )
-        except (OSError, ValueError, asyncio.TimeoutError) as exc:
-            self.peer_counters["errors"] += 1
-            self._drop_peer(owner)
-            logger.warning("peer cache lookup at %s failed: %r", owner, exc)
-            return None
-        if response.get("ok") and response.get("hit"):
-            self.peer_counters["hits"] += 1
-            return response.get("result")
-        self.peer_counters["misses"] += 1
-        return None
-
-    async def _peer_request(self, address: str, payload: dict) -> dict:
-        """One request/response over this member's peer connection.
-
-        The per-peer lock serializes concurrent misses onto the one
-        connection; the id check catches a stale line left behind by a
-        timed-out predecessor (the connection is dropped and rebuilt
-        rather than served out of step).
-        """
-        lock = self._peer_locks.setdefault(address, asyncio.Lock())
-        async with lock:
-            connection = self._peer_connections.get(address)
-            if connection is None:
-                connection = await open_address(address)
-                self._peer_connections[address] = connection
-            reader, writer = connection
-            writer.write(stream.encode_response(payload))
-            await writer.drain()
-            line = await reader.readline()
-        if not line:
-            raise ConnectionError(f"peer {address} closed the connection")
-        response = json.loads(line)
-        if response.get("id") != payload["id"]:
-            raise ConnectionError(
-                f"peer {address} answered out of step; resetting"
-            )
-        return response
-
-    def _drop_peer(self, address: str) -> None:
-        connection = self._peer_connections.pop(address, None)
-        if connection is not None:
-            with contextlib.suppress(Exception):
-                connection[1].close()
 
     # -- serving loops ---------------------------------------------------
 
@@ -1062,8 +857,12 @@ class SolverDaemon:
                 line = await self._next_line(read_line)
             except ValueError:  # over the StreamReader line limit
                 self.counters["requests"] += 1
-                self.counters["errors"] += 1
-                await respond(request_too_large_response())
+                response = self._error(
+                    None,
+                    f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+                    stream.REQUEST_TOO_LARGE,
+                )
+                await respond(response)
                 break
             if not line:  # EOF or shutdown
                 break
@@ -1073,8 +872,10 @@ class SolverDaemon:
                 payload = stream.decode_request(line)
             except ProtocolError as exc:
                 self.counters["requests"] += 1
-                self.counters["errors"] += 1
-                spawn(respond(stream.error_response(stream.best_effort_id(line), str(exc))))
+                response = self._error(
+                    stream.best_effort_id(line), str(exc), stream.BAD_REQUEST
+                )
+                spawn(respond(response))
                 continue
             if payload["kind"] in ("solve", "evaluate"):
                 if not await self._acquire_or_shutdown():
@@ -1130,8 +931,8 @@ class SolverDaemon:
             self.close()
 
     async def serve_tcp(self, host: str, port: int) -> None:
-        """Listen on a TCP socket until a ``shutdown`` request
-        (cluster members spanning hosts route over TCP; same wire
+        """Listen on a TCP socket until a ``shutdown`` request (daemons
+        on other hosts, reached by a multi-address client; same wire
         protocol, same loop as :meth:`serve_unix`)."""
         self.warm_up()
         server = await asyncio.start_server(
@@ -1146,7 +947,7 @@ class SolverDaemon:
             self.close()
 
     async def serve_address(self, address: str) -> None:
-        """Serve one member address (unix path or ``host:port``)."""
+        """Serve one address (unix path or ``host:port``)."""
         parsed = parse_address(address)
         if parsed[0] == "unix":
             await self.serve_unix(parsed[1])
@@ -1259,8 +1060,8 @@ def serve(
     """Blocking entry point used by the CLI's ``--serve``.
 
     ``socket_path`` keeps the historical unix-only spelling;
-    ``address`` accepts the cluster vocabulary (unix path *or*
-    ``host:port``).  With neither, the daemon serves stdio.
+    ``address`` accepts a unix path *or* ``host:port``.  With neither,
+    the daemon serves stdio.
     """
     daemon = SolverDaemon(
         config=config,

@@ -1,11 +1,10 @@
-"""Consistent-hash routing of request fingerprints to cluster members.
+"""Consistent-hash routing of request fingerprints to daemons.
 
-One daemon on one host is a ceiling; the cluster tier
-(:mod:`repro.service.cluster`) runs N :class:`SolverDaemon` members and
-routes every request by its canonical fingerprint so each
-fingerprint's result-cache entry, network memo, and shared-memory
-kernel segment lives on exactly one owner.  The routing primitive is
-the classic consistent-hash ring:
+A :class:`~repro.service.stream.DaemonClient` given several daemon
+addresses (daemons on other hosts) routes every solve/evaluate request
+by its canonical fingerprint, so each fingerprint's result-cache entry
+and network memo live on exactly one daemon.  The routing primitive
+is the classic consistent-hash ring:
 
 * every member contributes ``virtual_nodes`` points on a 64-bit ring
   (SHA-256 of ``"{member}#{index}"``), so load spreads evenly and
@@ -14,9 +13,9 @@ the classic consistent-hash ring:
   warm;
 * a fingerprint maps to the first member point at or after its own
   hash (wrapping), and :meth:`HashRing.preference` continues around
-  the ring to name the failover replicas, so every router, client and
-  member computes the *same* owner and the same fallback order from
-  nothing but the member list.
+  the ring to name the failover replicas, so every client computes the
+  *same* owner and the same fallback order from nothing but the
+  member list.
 
 Determinism is the contract: the ring sorts its member list, so two
 processes configured with the same members in any order route every
@@ -24,14 +23,13 @@ fingerprint identically (``tests/service/test_routing.py`` pins this
 with a hypothesis property, plus the <= 2/N rebalance bound).
 
 Member addresses are strings: a unix-socket path (anything with a
-``/``, or no ``:``) or a TCP ``host:port``.  :func:`parse_address`,
-:func:`connect_address` and :func:`open_address` give the sync and
-asyncio halves of the stack one address vocabulary.
+``/``, or no ``:``) or a TCP ``host:port``.  :func:`parse_address`
+and :func:`connect_address` give the daemon and its clients one
+address vocabulary.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import hashlib
 import os
@@ -43,8 +41,6 @@ __all__ = [
     "DEFAULT_VIRTUAL_NODES",
     "HashRing",
     "connect_address",
-    "format_address",
-    "open_address",
     "parse_address",
     "reclaim_stale_socket",
 ]
@@ -64,12 +60,12 @@ def _point(token: str) -> int:
 
 
 class HashRing:
-    """A consistent-hash ring over cluster member addresses.
+    """A consistent-hash ring over daemon addresses.
 
     Args:
         members: member address strings; order and duplicates are
-            irrelevant (the ring canonicalizes), so every process in a
-            cluster builds an identical ring from its own config.
+            irrelevant (the ring canonicalizes), so every client builds
+            an identical ring from its own config.
         virtual_nodes: ring points per member.
 
     The ring is immutable; membership changes build a new ring (they
@@ -120,8 +116,8 @@ class HashRing:
 
         Walks clockwise from the key's position collecting *distinct*
         members; the first entry is :meth:`owner`, the rest are the
-        replicas a router fails over to, in the order every other
-        process would pick them too.
+        replicas to fail over to, in the order every other process
+        would pick them too.
         """
         want = len(self._members) if count is None else max(1, count)
         want = min(want, len(self._members))
@@ -181,13 +177,6 @@ def parse_address(address: str):
     return ("tcp", host, port)
 
 
-def format_address(kind_tuple) -> str:
-    """Inverse of :func:`parse_address` (for logs and hellos)."""
-    if kind_tuple[0] == "unix":
-        return kind_tuple[1]
-    return f"{kind_tuple[1]}:{kind_tuple[2]}"
-
-
 def connect_address(address: str, timeout: float | None = None) -> socket.socket:
     """Open a blocking client socket to a member address."""
     parsed = parse_address(address)
@@ -199,14 +188,6 @@ def connect_address(address: str, timeout: float | None = None) -> socket.socket
     sock = socket.create_connection((parsed[1], parsed[2]), timeout=timeout)
     sock.settimeout(timeout)
     return sock
-
-
-async def open_address(address: str):
-    """Open an asyncio ``(reader, writer)`` pair to a member address."""
-    parsed = parse_address(address)
-    if parsed[0] == "unix":
-        return await asyncio.open_unix_connection(parsed[1])
-    return await asyncio.open_connection(parsed[1], parsed[2])
 
 
 def reclaim_stale_socket(path: str) -> None:

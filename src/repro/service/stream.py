@@ -13,27 +13,25 @@ Request kinds::
     {"id": 4, "kind": "stats"}
     {"id": 5, "kind": "metrics"}
     {"id": 6, "kind": "shutdown"}
-    {"id": 7, "kind": "cache_lookup", "fingerprint": "...", "token": "..."}
 
 A solve/evaluate request may add ``"trace": true`` to get the served
 request's span tree back in ``response["trace"]``; the ``metrics``
 kind answers with the daemon's Prometheus text exposition in
-``result.text`` (or, with ``"raw": true``, the mergeable registry
-snapshot in ``result.snapshot`` -- the cluster router's roll-up
-form).  ``cache_lookup`` is the cluster cache-peering kind: it
-answers from the member's local result cache only (a single bounded
-hop -- the serving member never peers onward), so a cluster of
-members turns their sharded on-disk caches into one distributed tier.
+``result.text``.
 
 Responses::
 
     {"id": 1, "ok": true, "kind": "solve", "from_cache": false,
      "seconds": 0.41, "result": {...PortfolioResult.to_dict()...}}
-    {"id": 6, "ok": false, "error": "unknown request kind 'solv'"}
+    {"id": 6, "ok": false, "error": "unknown request kind 'solv'",
+     "reason": "bad_request"}
     {"id": null, "ok": false, "error": "...", "reason": "request_too_large"}
 
-The last form answers a request line longer than the daemon's line
-limit; the daemon then closes the connection, since it cannot tell
+Every error reply carries a ``reason``: ``bad_request`` for a line
+that does not decode or a request that fails validation, ``internal``
+for a request the daemon failed to serve, and ``request_too_large``
+for a request line longer than the daemon's line limit.  After the
+last one the daemon closes the connection, since it cannot tell
 where the rest of that line ends.
 
 The program wire form round-trips :class:`repro.ir.program.Program`
@@ -63,6 +61,12 @@ from repro.layout.layout import Layout
 
 #: ``reason`` of the reply to a request line over the daemon's limit.
 REQUEST_TOO_LARGE = "request_too_large"
+#: ``reason`` of the reply to an undecodable or invalid request.
+BAD_REQUEST = "bad_request"
+#: ``reason`` of the reply to a request the daemon failed to serve.
+INTERNAL = "internal"
+#: Every ``reason`` an error reply can carry.
+ERROR_REASONS = (BAD_REQUEST, INTERNAL, REQUEST_TOO_LARGE)
 
 
 class ProtocolError(ValueError):
@@ -178,7 +182,6 @@ REQUEST_KINDS = (
     "stats",
     "metrics",
     "shutdown",
-    "cache_lookup",
 )
 
 
@@ -204,12 +207,6 @@ def decode_request(line: str | bytes) -> dict:
         payload.get("program"), dict
     ):
         raise ProtocolError(f"{kind} request needs a 'program' object")
-    if kind == "cache_lookup":
-        for field in ("fingerprint", "token"):
-            if not isinstance(payload.get(field), str):
-                raise ProtocolError(
-                    f"cache_lookup request needs a string '{field}'"
-                )
     return payload
 
 
@@ -235,21 +232,6 @@ def error_response(request_id, message: str, reason: str | None = None) -> dict:
     if reason is not None:
         response["reason"] = reason
     return response
-
-
-def cache_lookup_request(fingerprint: str, token: str, request_id=None) -> dict:
-    """Build a cache-peering lookup line (cluster members only).
-
-    The answering member consults its *local* result cache and returns
-    ``{"hit": bool, "result": {...}|null}`` -- it never forwards the
-    lookup onward, which is what bounds peering to a single hop.
-    """
-    return {
-        "id": request_id,
-        "kind": "cache_lookup",
-        "fingerprint": fingerprint,
-        "token": token,
-    }
 
 
 def solve_request(program: Program, request_id=None, trace: bool = False) -> dict:
@@ -300,27 +282,25 @@ def evaluate_request(
 
 
 class DaemonClient:
-    """Blocking JSON-lines client for one daemon -- or a whole cluster.
+    """Blocking JSON-lines client for one daemon -- or several.
 
     Args:
-        address: a member address (unix-socket path or TCP
+        address: a daemon address (unix-socket path or TCP
             ``host:port``), or a sequence of them.  With several
             addresses the client routes each solve/evaluate request to
-            the member that *owns* its fingerprint on the cluster's
-            consistent-hash ring -- the same ring every member and the
-            router build -- so the hot path needs no router process at
-            all; on connection failure it falls back through the
-            remaining members (the contacted member then peers with
-            the owner for cache hits).
+            the daemon that *owns* its fingerprint on a
+            consistent-hash ring over the addresses, so each answer
+            is cached on one daemon; on connection failure it falls
+            back through the remaining addresses.
         timeout: per-read socket timeout in seconds (None blocks
             forever; solves can legitimately take a while, so the
             default is generous).
         options: the :class:`BuildOptions` the daemons fingerprint
             with; only consulted for client-side routing (a mismatch
             never changes answers -- requests merely land on a
-            non-owner, which costs one bounded peer hop).
+            non-owner, which then solves them itself).
         retry: reconnect and resend outstanding requests once per
-            member on a transient connection error
+            daemon on a transient connection error
             (``ConnectionResetError``/``BrokenPipeError``/timeout)
             mid-pipeline, instead of raising to the caller.
 
@@ -352,7 +332,7 @@ class DaemonClient:
         self._retry = retry
         self._ring = HashRing(addresses) if len(addresses) > 1 else None
         # address -> (socket, buffered reader); opened on first use so
-        # a 3-member client talking to one member opens one socket.
+        # a 3-address client talking to one daemon opens one socket.
         self._connections: dict[str, tuple] = {}
         self._next_id = 0
         # Fail fast on a bad primary address (matches the historical
@@ -362,7 +342,7 @@ class DaemonClient:
 
     @property
     def addresses(self) -> tuple[str, ...]:
-        """The member addresses this client may talk to."""
+        """The daemon addresses this client may talk to."""
         return tuple(self._addresses)
 
     def _connection(self, address: str) -> tuple:
@@ -420,8 +400,6 @@ class DaemonClient:
     def _routing_key(self, payload: Mapping) -> str | None:
         """The fingerprint a routable request hashes to, or None."""
         kind = payload.get("kind")
-        if kind == "cache_lookup":
-            return payload.get("fingerprint")
         if kind not in ("solve", "evaluate") or not isinstance(
             payload.get("program"), dict
         ):
@@ -435,7 +413,7 @@ class DaemonClient:
         return request_fingerprint(program, self._options)
 
     def _target_for(self, payload: Mapping) -> str:
-        """Owner member for routable requests; the primary otherwise."""
+        """Owner daemon for routable requests; the primary otherwise."""
         if self._ring is None:
             return self._addresses[0]
         key = self._routing_key(payload)
@@ -447,20 +425,6 @@ class DaemonClient:
         """Send one request and wait for its response."""
         return self.request_many([payload])[0]
 
-    def request_member(self, address: str, payload: Mapping) -> dict:
-        """Send one request to a *specific* member, bypassing routing.
-
-        The address must be one of this client's configured addresses.
-        Cluster smoke tests use this to target a non-owner and watch
-        the cache-peering hop; operators use it to inspect one member.
-        """
-        if address not in self._addresses:
-            raise ValueError(f"{address!r} is not a configured member")
-        prepared = dict(payload)
-        if prepared.get("id") is None:
-            prepared["id"] = self._take_id()
-        return self._deliver(address, [prepared], failover=False)[prepared["id"]]
-
     def request_many(self, payloads: Sequence[Mapping]) -> list[dict]:
         """Pipeline a batch: write every line, then collect responses.
 
@@ -469,7 +433,7 @@ class DaemonClient:
         caller-supplied ones, and duplicate caller ids are rejected --
         ids are the only way responses pair back to requests.  With
         several addresses the batch is partitioned by fingerprint
-        owner and each partition is pipelined to its member.
+        owner and each partition is pipelined to its daemon.
 
         Raises:
             ProtocolError: when two payloads share a request id.
@@ -506,18 +470,16 @@ class DaemonClient:
             by_id.update(self._deliver(address, group))
         return [by_id[request_id] for request_id in wanted]
 
-    def _deliver(
-        self, address: str, payloads: Sequence[Mapping], failover: bool = True
-    ) -> dict:
-        """Pipeline payloads to a member; reconnect-retry, then fail over.
+    def _deliver(self, address: str, payloads: Sequence[Mapping]) -> dict:
+        """Pipeline payloads to a daemon; reconnect-retry, then fail over.
 
-        Per member: one reconnect+resend retry on a transient
+        Per daemon: one reconnect+resend retry on a transient
         connection error (daemon restarted, socket reset mid-batch).
         Responses collected before the error are kept -- only the
         outstanding remainder is resent; resends are safe because
         every request kind is idempotent (solves are cached and
-        deduplicated on the daemon).  When the member stays down and
-        the client knows other members, the remainder fails over
+        deduplicated on the daemon).  When the daemon stays down and
+        the client knows other addresses, the remainder fails over
         through them in address order.
 
         Raises:
@@ -527,11 +489,11 @@ class DaemonClient:
         outstanding = {payload["id"]: payload for payload in payloads}
         collected: dict = {}
         targets = [address]
-        if failover and self._ring is not None:
+        if self._ring is not None:
             targets.extend(a for a in self._addresses if a != address)
         last_error: Exception | None = None
         for target in targets:
-            # One *blind* retry per member: an attempt that collected
+            # One *blind* retry per daemon: an attempt that collected
             # responses before dying proves the daemon is serving (it
             # was restarted, or the socket reset mid-batch), so
             # reconnecting again is progress, not spinning -- only
@@ -597,22 +559,6 @@ class DaemonClient:
         if not response.get("ok"):
             raise ProtocolError(response.get("error", "metrics request failed"))
         return response["result"]["text"]
-
-    def metrics_snapshot(self) -> dict:
-        """The daemon's mergeable metrics snapshot (cluster roll-ups)."""
-        response = self.request({"kind": "metrics", "raw": True})
-        if not response.get("ok"):
-            raise ProtocolError(response.get("error", "metrics request failed"))
-        return response["result"]["snapshot"]
-
-    def cache_lookup(self, fingerprint: str, token: str) -> dict:
-        """Peer-style cache probe: ``{"hit": bool, "result": ...}``."""
-        response = self.request(cache_lookup_request(fingerprint, token))
-        if not response.get("ok"):
-            raise ProtocolError(
-                response.get("error", "cache_lookup request failed")
-            )
-        return response
 
     def shutdown(self) -> dict:
         """Ask the daemon to stop serving (it answers first)."""

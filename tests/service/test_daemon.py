@@ -24,6 +24,8 @@ from repro.service.evaluate import EvaluationRequest, run_evaluation_batch
 from repro.service.fingerprint import request_fingerprint
 from repro.service.portfolio import PortfolioConfig, PortfolioResult
 from repro.service.stream import (
+    BAD_REQUEST,
+    INTERNAL,
     REQUEST_TOO_LARGE,
     DaemonClient,
     ProtocolError,
@@ -104,6 +106,15 @@ def harness(tmp_path):
         harness.stop()
 
 
+def _error_count(client: DaemonClient, reason: str) -> int:
+    """The daemon's ``repro_daemon_errors_total`` for one reason."""
+    prefix = f'repro_daemon_errors_total{{reason="{reason}"}} '
+    for line in client.metrics().splitlines():
+        if line.startswith(prefix):
+            return int(float(line[len(prefix):]))
+    raise AssertionError(f"no {prefix!r} sample in the scrape")
+
+
 class TestProtocol:
     def test_ping_reports_configuration(self, harness):
         with harness.client() as client:
@@ -121,22 +132,31 @@ class TestProtocol:
             response = client._read_response(reader)
             assert response["ok"] is False
             assert "JSON" in response["error"]
+            assert response["reason"] == BAD_REQUEST
             # The connection is still serviceable afterwards.
             assert client.ping()["ok"]
+            assert _error_count(client, BAD_REQUEST) == 1
 
     def test_unknown_kind_echoes_request_id(self, harness):
+        # "cache_lookup" was a request kind of the removed cache
+        # peering; it is now as unknown as a typo.
         with harness.client() as client:
             sock, reader = client._connection(client.addresses[0])
-            sock.sendall(
-                json.dumps({"id": 41, "kind": "solv"}).encode() + b"\n"
-            )
-            response = client._read_response(reader)
-        assert response == {
-            "id": 41,
-            "ok": False,
-            "error": response["error"],
-        }
-        assert "unknown request kind" in response["error"]
+            for request_id, kind in ((41, "solv"), (42, "cache_lookup")):
+                sock.sendall(
+                    json.dumps({"id": request_id, "kind": kind}).encode()
+                    + b"\n"
+                )
+                response = client._read_response(reader)
+                assert response == {
+                    "id": request_id,
+                    "ok": False,
+                    "error": response["error"],
+                    "reason": BAD_REQUEST,
+                }
+                assert "unknown request kind" in response["error"]
+            assert client.ping()["ok"]
+            assert _error_count(client, BAD_REQUEST) == 2
 
     def test_invalid_evaluate_fields_are_protocol_errors(self, harness):
         program = _program(520)
@@ -154,6 +174,30 @@ class TestProtocol:
         assert bad_model["ok"] is False
         assert bad_hierarchy["ok"] is False
         assert "warp_drive" in bad_hierarchy["error"]
+        assert bad_model["reason"] == BAD_REQUEST
+        assert bad_hierarchy["reason"] == BAD_REQUEST
+
+    def test_failed_request_gets_an_internal_reason(self, monkeypatch):
+        daemon = SolverDaemon(
+            config=_fast_config(),
+            daemon_config=DaemonConfig(workers=1, shards=1),
+        )
+
+        async def broken(payload):
+            raise RuntimeError("worker fell over")
+
+        monkeypatch.setattr(daemon, "_handle_solve", broken)
+        try:
+            response = asyncio.run(
+                daemon.handle_request(solve_request(_program(520), request_id=3))
+            )
+        finally:
+            daemon.close()
+        assert response["id"] == 3
+        assert response["ok"] is False
+        assert response["reason"] == INTERNAL
+        assert "worker fell over" in response["error"]
+        assert daemon.error_counters[INTERNAL] == 1
 
 
 class TestFraming:
@@ -180,6 +224,7 @@ class TestFraming:
         with harness.client() as client:
             assert client.ping()["ok"]
             stats = client.stats()
+            assert _error_count(client, REQUEST_TOO_LARGE) == 1
         assert stats["counters"]["errors"] == 1
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 

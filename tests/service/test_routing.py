@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.service.routing import (
     HashRing,
     connect_address,
-    format_address,
     parse_address,
     reclaim_stale_socket,
 )
@@ -143,10 +142,6 @@ class TestAddresses:
             parse_address("host:port")
         with pytest.raises(ValueError, match="out of range"):
             parse_address("host:70000")
-
-    def test_format_round_trip(self):
-        for address in ("/tmp/a.sock", "localhost:9001"):
-            assert format_address(parse_address(address)) == address
 
 
 class TestStaleSocketReclaim:

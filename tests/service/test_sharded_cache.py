@@ -77,8 +77,8 @@ class TestShardedSemantics:
         assert all("bytes_on_disk" in row for row in per_shard)
 
     def test_entry_counts_and_bytes_on_disk(self, tmp_path):
-        """The cluster roll-up needs comparable per-member numbers:
-        entry counts per shard and real persisted bytes."""
+        """``stats`` and the metrics report entry counts per shard and
+        real persisted bytes."""
         directory = str(tmp_path / "cache.d")
         cache = ShardedResultCache(shards=4, directory=directory)
         assert cache.entry_counts() == [0, 0, 0, 0]

@@ -1,13 +1,20 @@
-"""Wire-protocol round trips and request-line validation."""
+"""Wire-protocol round trips, request-line validation and the client."""
 
+import contextlib
 import json
+import os
+import socket
+import threading
 
 import pytest
 
 from repro.bench import build_benchmark
 from repro.ir.parser import parse_program
 from repro.layout.layout import column_major, row_major
+from repro.service.fingerprint import request_fingerprint
+from repro.service.routing import HashRing
 from repro.service.stream import (
+    DaemonClient,
     ProtocolError,
     decode_request,
     encode_response,
@@ -136,7 +143,7 @@ class TestClientIdAssignment:
         def _target_for(self, payload):
             return self._addresses[0]
 
-        def _deliver(self, address, payloads, failover=True):
+        def _deliver(self, address, payloads):
             self.sent.extend(payloads)
             return {p["id"]: {**p, "ok": True} for p in payloads}
 
@@ -158,3 +165,153 @@ class TestClientIdAssignment:
         assert responses[1]["id"] != 1
         assert responses[0]["kind"] == "ping"
         assert responses[1]["kind"] == "stats"
+
+
+class _FakeMember:
+    """A scriptable JSON-lines server impersonating a daemon.
+
+    The handler maps a decoded request payload to a response dict (the
+    id is filled in here).  ``die_after`` closes each connection after
+    that many responses -- the transient-failure lever.
+    """
+
+    def __init__(self, tmp_path, name: str, handler=None, die_after=None):
+        self.path = str(tmp_path / f"{name}.sock")
+        self.handler = handler or self._default_handler
+        self.die_after = die_after
+        self.served: list[dict] = []
+        self.connections = 0
+        self._server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._server.bind(self.path)
+        self._server.listen(8)
+        self._closing = False
+        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._thread.start()
+
+    def _default_handler(self, payload: dict) -> dict:
+        kind = payload.get("kind")
+        if kind == "ping":
+            return {"ok": True, "kind": "ping", "result": {"member": self.path}}
+        return {
+            "ok": True,
+            "kind": kind,
+            "from_cache": False,
+            "result": {"member": self.path, "kind": kind},
+        }
+
+    def _accept_loop(self) -> None:
+        while not self._closing:
+            try:
+                connection, _ = self._server.accept()
+            except OSError:
+                return
+            self.connections += 1
+            threading.Thread(
+                target=self._serve, args=(connection,), daemon=True
+            ).start()
+
+    def _serve(self, connection) -> None:
+        answered = 0
+        reader = connection.makefile("rb")
+        try:
+            for line in reader:
+                if self._closing:
+                    # close() must kill live connections too, or a
+                    # "dead" member would keep answering its old ones.
+                    break
+                if not line.strip():
+                    continue
+                payload = json.loads(line)
+                self.served.append(payload)
+                response = self.handler(payload)
+                response["id"] = payload.get("id")
+                connection.sendall(
+                    (json.dumps(response) + "\n").encode("utf-8")
+                )
+                answered += 1
+                if self.die_after is not None and answered >= self.die_after:
+                    break
+        except (OSError, ValueError):
+            pass
+        finally:
+            reader.close()
+            connection.close()
+
+    def close(self) -> None:
+        self._closing = True
+        self._server.close()
+        with contextlib.suppress(OSError):
+            os.unlink(self.path)
+
+
+class TestClientSideRouting:
+    def test_multi_address_client_picks_the_owner(self, tmp_path):
+        members = [_FakeMember(tmp_path, f"m{i}") for i in range(3)]
+        addresses = [m.path for m in members]
+        program = parse_program(FIGURE2, name="program")
+        with DaemonClient(addresses) as client:
+            fingerprint = request_fingerprint(program, client._options)
+            owner = HashRing(addresses).owner(fingerprint)
+            response = client.request(solve_request(program))
+            assert response["ok"]
+        owner_member = next(m for m in members if m.path == owner)
+        assert any(p.get("kind") == "solve" for p in owner_member.served)
+        for member in members:
+            member.close()
+
+    def test_client_fails_over_through_the_ring(self, tmp_path):
+        members = [_FakeMember(tmp_path, f"m{i}") for i in range(3)]
+        addresses = [m.path for m in members]
+        program = parse_program(FIGURE2, name="program")
+        with DaemonClient(addresses) as client:
+            fingerprint = request_fingerprint(program, client._options)
+            owner = HashRing(addresses).owner(fingerprint)
+            next(m for m in members if m.path == owner).close()
+            response = client.request(solve_request(program))
+            assert response["ok"]
+            served_by = response["result"]["member"]
+            assert served_by != owner
+            assert served_by in addresses
+        for member in members:
+            member.close()
+
+    def test_control_requests_go_to_the_primary(self, tmp_path):
+        members = [_FakeMember(tmp_path, f"m{i}") for i in range(2)]
+        addresses = [m.path for m in members]
+        with DaemonClient(addresses) as client:
+            assert client.ping()["ok"]
+        assert any(p.get("kind") == "ping" for p in members[0].served)
+        assert not members[1].served
+        for member in members:
+            member.close()
+
+
+class TestClientTransientErrorHardening:
+    def test_reconnect_and_resend_mid_batch(self, tmp_path):
+        """The daemon dies after the first response of a pipelined
+        batch; the client reconnects and resends the remainder."""
+        member = _FakeMember(tmp_path, "flaky", die_after=1)
+        with DaemonClient(member.path) as client:
+            responses = client.request_many(
+                [{"kind": "ping"}, {"kind": "ping"}, {"kind": "ping"}]
+            )
+        assert all(r["ok"] for r in responses)
+        assert member.connections >= 2  # at least one reconnect happened
+        member.close()
+
+    def test_retry_disabled_raises_to_the_caller(self, tmp_path):
+        member = _FakeMember(tmp_path, "flaky", die_after=1)
+        with DaemonClient(member.path, retry=False) as client:
+            with pytest.raises(ConnectionError):
+                client.request_many(
+                    [{"kind": "ping"}, {"kind": "ping"}, {"kind": "ping"}]
+                )
+        member.close()
+
+    def test_dead_daemon_still_raises(self, tmp_path):
+        member = _FakeMember(tmp_path, "gone")
+        client = DaemonClient(member.path)
+        member.close()
+        with pytest.raises(ConnectionError):
+            client.request_many([{"kind": "ping"}, {"kind": "ping"}])
+        client.close()
