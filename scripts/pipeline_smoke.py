@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke check for the optimizer pass pipeline.
 
-Two gates, both over the five paper programs:
+Three gates, all over the five paper programs:
 
 * **Default-pipeline equivalence** -- runs each program through
   ``LayoutOptimizer``'s default pipeline and asserts layouts, solver
@@ -9,6 +9,11 @@ Two gates, both over the five paper programs:
   seed expectations in ``scripts/pipeline_expectations.json`` (the
   pre-refactor monolith's outcomes).  A drift here means the pass
   refactor changed observable solver behavior.
+* **Default-ladder equivalence** -- runs each program through the
+  default scheme ladder (``PortfolioSolver(PortfolioConfig())``) and
+  asserts the winner, the per-rung status table, the layouts and the
+  winner's nodes, checks and backtracks match the ``"ladder"`` entries
+  of the same expectations file exactly.
 * **Extended-pipeline composition** -- reruns each program through a
   reordered/extended pipeline (``build, solve, repair, joint,
   dynamic, transform``) under span recording, asserting it completes,
@@ -39,6 +44,7 @@ from repro.bench.programs import (
 from repro.eval import AnalyticCostModel
 from repro.obs import trace as obs_trace
 from repro.opt.optimizer import LayoutOptimizer
+from repro.service.portfolio import PortfolioConfig, PortfolioSolver
 from repro.service.stream import layouts_to_wire
 
 EXPECTATIONS = Path(__file__).with_name("pipeline_expectations.json")
@@ -67,10 +73,30 @@ def _default_outcomes() -> dict:
     return records
 
 
+def _ladder_outcomes() -> dict:
+    solver = PortfolioSolver(PortfolioConfig(), options=benchmark_build_options())
+    records = {}
+    for name in BENCHMARK_NAMES:
+        result = solver.optimize(build_benchmark(name))
+        stats = result.winner_stats()
+        records[name] = {
+            "winner": result.winner,
+            "table": [[row.scheme, row.status] for row in result.outcomes],
+            "layouts": layouts_to_wire(result.layouts),
+            "effort": [stats.nodes, stats.consistency_checks, stats.backtracks],
+        }
+    return records
+
+
 def record() -> int:
     EXPECTATIONS.write_text(
         json.dumps(
-            {"scheme": "enhanced", "seed": 0, "programs": _default_outcomes()},
+            {
+                "scheme": "enhanced",
+                "seed": 0,
+                "programs": _default_outcomes(),
+                "ladder": _ladder_outcomes(),
+            },
             indent=2,
             sort_keys=True,
         )
@@ -107,6 +133,30 @@ def check_default_pipeline() -> int:
             print(f"ok: {name}: default pipeline byte-identical "
                   f"({'exact' if got['exact'] else 'best-effort'}, "
                   f"{len(got['layouts'])} arrays)")
+    return failures
+
+
+def check_default_ladder() -> int:
+    expected = json.loads(EXPECTATIONS.read_text()).get("ladder")
+    if expected is None:
+        print(f"FAIL: no ladder expectations in {EXPECTATIONS}; "
+              "run with --record first")
+        return 1
+    failures = 0
+    for name, got in _ladder_outcomes().items():
+        want = expected.get(name)
+        if want is None:
+            print(f"FAIL: {name}: no recorded ladder expectation")
+            failures += 1
+            continue
+        drifted = [field for field in want if got[field] != want[field]]
+        for field in drifted:
+            print(f"FAIL: {name}: ladder {field} drifted from expectation\n"
+                  f"  want: {want[field]}\n  got:  {got[field]}")
+        failures += len(drifted)
+        if not drifted:
+            print(f"ok: {name}: default ladder identical "
+                  f"(winner {got['winner']}, {len(got['table'])} rungs)")
     return failures
 
 
@@ -168,6 +218,10 @@ def main(argv) -> int:
     if "--record" in argv:
         return record()
     failures = check_default_pipeline()
+    if failures:  # a missing expectations file fails once, not per gate
+        print(f"pipeline smoke: {failures} failure(s)")
+        return 1
+    failures += check_default_ladder()
     failures += check_extended_pipeline()
     if failures:
         print(f"pipeline smoke: {failures} failure(s)")
