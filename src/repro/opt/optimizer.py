@@ -2,18 +2,21 @@
 
 ``LayoutOptimizer`` no longer interleaves the paper's phases in one
 monolithic method: each phase is a first-class pass in
-:mod:`repro.opt.passes` (build the network, solve it with the chosen
-scheme or portfolio ladder, repair the solution, pick per-nest loop
-restructurings, optionally refine against a cost model), and the
-façade's job is to assemble the default pipeline -- byte-identical
-outcomes to the historical monolith -- or any custom one via the
-``passes=``/``pipeline=`` overrides.  The pipeline runner gives every
-pass its own observability span and a ``repro_pass_seconds{pass}``
-histogram sample, surfaced per-outcome in ``pass_seconds`` and fleet-
-wide in daemon ``stats``.
+:mod:`repro.opt.passes` (build the network, solve it with a scheme
+ladder -- one rung for a direct scheme, the configured rungs for a
+portfolio -- repair the solution, pick per-nest loop restructurings,
+optionally refine against a cost model), and the façade's job is to
+assemble the default pipeline -- byte-identical outcomes to the
+historical monolith -- or any custom one via the
+``passes=``/``pipeline=`` overrides.  It is the one optimize path: the
+service's :class:`~repro.service.PortfolioSolver` is a result cache in
+front of a ``build -> solve -> repair`` pipeline.  The pipeline runner
+gives every pass its own observability span and a
+``repro_pass_seconds{pass}`` histogram sample, surfaced per-outcome in
+``pass_seconds`` and fleet-wide in daemon ``stats``.
 
 When the hard network is unsatisfiable (possible: different nests may
-want irreconcilable layouts) the solve pass falls back to the weighted
+want irreconcilable layouts) the ladder falls back to the weighted
 branch & bound of :mod:`repro.csp.weighted`, which returns the
 assignment violating the least total nest cost -- the graceful version
 of "no solution exists".
@@ -30,11 +33,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.csp.enhanced import EnhancedSolver, EnhancementConfig
 from repro.csp.stats import SolverStats
 from repro.ir.program import Program
 from repro.layout.layout import Layout
+from repro.opt.ladder import SCHEMES, LadderResult, PortfolioConfig, SchemeLadder
 from repro.opt.network_builder import BuildOptions, LayoutNetwork
 from repro.opt.passes import (
     Pipeline,
@@ -42,11 +47,11 @@ from repro.opt.passes import (
     resolve_passes,
 )
 
-# Historical homes: the scheme registry, repair fixpoint, transform
-# selection and refinement report types grew up in this module; the
-# service layer and downstream callers import them from here.
+# Historical homes: the repair fixpoint, transform selection and
+# refinement report types grew up in this module; downstream callers
+# import them from here.
 from repro.opt.passes.refine import CandidateScore, RefinementReport  # noqa: F401
-from repro.opt.passes.solve import _SCHEMES, repair_inflation  # noqa: F401
+from repro.opt.passes.solve import repair_inflation  # noqa: F401
 from repro.opt.passes.transforms import (  # noqa: F401
     _select_transforms,
     select_transforms,
@@ -75,6 +80,8 @@ class OptimizationOutcome:
         dynamic: per-array :class:`~repro.opt.dynamic.DynamicPlan`
             schedules (None unless the ``dynamic`` pass ran).
         pass_seconds: wall-clock per pipeline pass, in execution order.
+        ladder: the solve pass's ladder run: winner, per-rung outcome
+            table and engine (None when no solve pass ran).
     """
 
     program: str
@@ -89,6 +96,7 @@ class OptimizationOutcome:
     transforms: dict | None = None
     dynamic: dict | None = None
     pass_seconds: dict[str, float] = field(default_factory=dict)
+    ladder: LadderResult | None = None
 
 
 class LayoutOptimizer:
@@ -100,10 +108,11 @@ class LayoutOptimizer:
             nest-cost weighted network), an :class:`EnhancementConfig`
             for per-enhancement ablation runs, or a *portfolio
             strategy*: the string ``"portfolio:enhanced,cbj,weighted"``
-            (or a :class:`repro.service.PortfolioConfig`) tries the
+            (or a :class:`repro.opt.ladder.PortfolioConfig`) tries the
             named schemes in order until one answers exactly, and the
             outcome's ``scheme`` field reports which one won, e.g.
-            ``"portfolio:cbj"``.
+            ``"portfolio:cbj"``.  A direct scheme is a one-rung ladder
+            with no deadline.
         seed: RNG seed for the randomized schemes.  Threaded into the
             ``"portfolio:..."`` string forms; a ``PortfolioConfig``
             instance carries its own seed, which takes precedence.
@@ -147,23 +156,22 @@ class LayoutOptimizer:
         pipeline=None,
     ):
         self._seed = seed
-        self._portfolio = None
-        self._portfolio_solver = None
-        self._solver = None
-        portfolio_config = _as_portfolio_config(scheme, seed)
-        if portfolio_config is not None:
-            self._portfolio = portfolio_config
-            self._scheme_name = f"portfolio[{','.join(portfolio_config.schemes)}]"
-        elif isinstance(scheme, EnhancementConfig):
-            self._scheme_name = scheme.label()
-            self._solver = EnhancedSolver(scheme, seed=seed)
+        self._portfolio = _as_portfolio_config(scheme, seed)
+        if self._portfolio is not None:
+            self._scheme_name = f"portfolio[{','.join(self._portfolio.schemes)}]"
+            self._ladder = SchemeLadder.for_config(self._portfolio)
         else:
-            if scheme not in _SCHEMES:
+            if isinstance(scheme, EnhancementConfig):
+                self._scheme_name = scheme.label()
+                factory = partial(EnhancedSolver, scheme)
+            elif scheme in SCHEMES:
+                self._scheme_name = scheme
+                factory = SCHEMES[scheme]
+            else:
                 raise ValueError(
-                    f"unknown scheme {scheme!r}; pick one of {sorted(_SCHEMES)}"
+                    f"unknown scheme {scheme!r}; pick one of {sorted(SCHEMES)}"
                 )
-            self._scheme_name = scheme
-            self._solver = _SCHEMES[scheme](seed)
+            self._ladder = SchemeLadder([(self._scheme_name, factory, seed)])
         self._options = options if options is not None else BuildOptions()
         if refine_top_k <= 0:
             raise ValueError("refine_top_k must be positive")
@@ -207,9 +215,9 @@ class LayoutOptimizer:
         return self._seed
 
     @property
-    def solver(self):
-        """The configured direct solver (None on the portfolio path)."""
-        return self._solver
+    def ladder(self) -> SchemeLadder:
+        """The solve pass's scheme ladder (one rung for a direct scheme)."""
+        return self._ladder
 
     @property
     def refine(self):
@@ -230,22 +238,6 @@ class LayoutOptimizer:
     def pipeline(self) -> Pipeline:
         """The assembled pass pipeline."""
         return self._pipeline
-
-    def portfolio_solver(self):
-        """The portfolio ladder solver, built once and kept warm.
-
-        Resident processes (the service daemon's warm workers) keep
-        optimizers alive across requests, and rebuilding the portfolio
-        plumbing per call was the last per-request setup cost left on
-        that path.
-        """
-        if self._portfolio_solver is None:
-            from repro.service.portfolio import PortfolioSolver
-
-            self._portfolio_solver = PortfolioSolver(
-                self._portfolio, options=self._options
-            )
-        return self._portfolio_solver
 
     def default_pass_names(self) -> tuple[str, ...]:
         """The default pipeline for this configuration.
@@ -282,6 +274,7 @@ class LayoutOptimizer:
             transforms=ctx.transforms,
             dynamic=ctx.dynamic,
             pass_seconds=dict(ctx.pass_seconds),
+            ladder=ctx.ladder,
         )
 
 
@@ -302,8 +295,8 @@ def shared_optimizer(
     """A process-shared, reusable :class:`LayoutOptimizer`.
 
     Resident services serve many requests per process; constructing a
-    fresh optimizer per request rebuilds the same solver/portfolio
-    plumbing every time.  This factory memoizes instances by their
+    fresh optimizer per request rebuilds the same ladder and pipeline
+    every time.  This factory memoizes instances by their
     full configuration (an optimizer is stateless between ``optimize``
     calls, so sharing is safe within one thread of control) and keeps
     the pool bounded with least-recently-used eviction.  Configured
@@ -331,24 +324,19 @@ def shared_optimizer(
     return optimizer
 
 
-def _as_portfolio_config(scheme, seed: int):
+def _as_portfolio_config(scheme, seed: int) -> PortfolioConfig | None:
     """Interpret a scheme argument as a portfolio strategy, if it is one.
 
-    Accepts a :class:`repro.service.PortfolioConfig` instance or the
-    string forms ``"portfolio"`` (default line-up) and
-    ``"portfolio:a,b,c"``.  Returns None for plain scheme names.  The
-    service import is lazy: :mod:`repro.service` imports this module.
+    Accepts a :class:`PortfolioConfig` instance or the string forms
+    ``"portfolio"`` (default line-up) and ``"portfolio:a,b,c"``.
+    Returns None for plain scheme names.
     """
-    if isinstance(scheme, str):
-        if scheme != "portfolio" and not scheme.startswith("portfolio:"):
-            return None
-        from repro.service.portfolio import PortfolioConfig
-
-        if scheme == "portfolio":
-            return PortfolioConfig(seed=seed)
-        return PortfolioConfig.parse(scheme[len("portfolio:"):], seed=seed)
-    if isinstance(scheme, EnhancementConfig):
+    if isinstance(scheme, PortfolioConfig):
+        return scheme
+    if not isinstance(scheme, str):
         return None
-    from repro.service.portfolio import PortfolioConfig
-
-    return scheme if isinstance(scheme, PortfolioConfig) else None
+    if scheme == "portfolio":
+        return PortfolioConfig(seed=seed)
+    if scheme.startswith("portfolio:"):
+        return PortfolioConfig.parse(scheme[len("portfolio:"):], seed=seed)
+    return None

@@ -1,12 +1,13 @@
 """First-class optimizer passes.
 
 The paper's pipeline as composable objects: build the constraint
-network, solve it (scheme or portfolio ladder), repair the solution,
-pick loop restructurings -- plus the stages the monolithic façade
-could never host: joint layout x transform search and dynamic layout
-planning.  :mod:`repro.opt.passes.base` holds the substrate
-(:class:`Pass` protocol, :class:`PipelineContext`, :class:`Pipeline`
-runner, registry); each pass module registers its factory here so
+network, solve it (a scheme ladder: one rung for a direct scheme, the
+configured rungs for a portfolio), repair the solution, pick loop
+restructurings -- plus the stages the monolithic façade could never
+host: joint layout x transform search and dynamic layout planning.
+:mod:`repro.opt.passes.base` holds the substrate (:class:`Pass`
+protocol, :class:`PipelineContext`, :class:`Pipeline` runner,
+registry); each pass module registers its factory here so
 ``LayoutOptimizer(passes=[...])`` and the CLI ``--passes`` flag
 resolve names to configured instances.
 """
@@ -33,9 +34,9 @@ from repro.opt.passes.refine import (
 from repro.opt.passes.solve import RepairInflationPass, SolvePass
 from repro.opt.passes.transforms import TransformSelectionPass
 
-register_pass("build", lambda optimizer: BuildNetworkPass(optimizer))
+register_pass("build", lambda optimizer: BuildNetworkPass())
 register_pass("solve", lambda optimizer: SolvePass(optimizer))
-register_pass("repair", lambda optimizer: RepairInflationPass(optimizer))
+register_pass("repair", lambda optimizer: RepairInflationPass())
 register_pass("transform", lambda optimizer: TransformSelectionPass(optimizer))
 register_pass(
     "refine",

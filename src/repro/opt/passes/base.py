@@ -32,12 +32,12 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS
 
-#: The per-pass wall-clock histogram.  Emitted by the pipeline runner
-#: for every pass it executes, and by the service layer's portfolio
-#: path for the equivalent phases it runs itself (the daemon serves
-#: solves through the portfolio directly, without a pipeline object in
-#: front) -- one metric name, one ``pass`` label vocabulary, so daemon
-#: ``stats`` rolls both up into a single per-pass breakdown.
+#: The per-pass wall-clock histogram, emitted by the pipeline runner
+#: for every pass it executes.  The daemon's solve misses run the same
+#: pipeline (the service's portfolio is a cache in front of it), so
+#: daemon ``stats`` rolls worker observations up into one per-pass
+#: breakdown.  The evaluate path adds its own ``transform`` and
+#: ``score`` observations under the same name.
 PASS_SECONDS_METRIC = "repro_pass_seconds"
 
 
@@ -73,8 +73,10 @@ class PipelineContext:
             runs report their winner as ``"portfolio:<scheme>"``).
         network: the built :class:`~repro.opt.network_builder.LayoutNetwork`.
         kernel: the compiled execution form of ``network``.
-        assignment: the solver's raw variable assignment (None on the
-            portfolio path, which reports finished layouts directly).
+        assignment: the solver's raw variable assignment.
+        ladder: the solve pass's
+            :class:`~repro.opt.ladder.LadderResult` (winner, per-rung
+            outcome table, engine).
         stats: solver effort counters.
         exact: True when the assignment satisfies every constraint.
         layouts: one layout per declared array (the product).
@@ -92,6 +94,7 @@ class PipelineContext:
     network: object | None = None
     kernel: object | None = None
     assignment: dict | None = None
+    ladder: object | None = None
     stats: object | None = None
     exact: bool = False
     layouts: dict | None = None

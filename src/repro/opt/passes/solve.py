@@ -1,19 +1,15 @@
-"""Solving passes: scheme/portfolio dispatch and solution repair.
+"""Solving passes: the scheme ladder and solution repair.
 
-The scheme registry and the inflation-repair fixpoint live here; the
-:mod:`repro.opt.optimizer` façade re-exports both so the service layer
-and existing callers keep importing them from their historical home.
+The solve pass runs the optimizer's :class:`~repro.opt.ladder.SchemeLadder`
+-- one rung for a direct scheme, the configured ladder for a portfolio
+-- and the repair pass finalizes its assignment.  The inflation-repair
+fixpoint lives here; the :mod:`repro.opt.optimizer` façade re-exports
+it from its historical home.
 """
 
 from __future__ import annotations
 
-from repro.csp.backjumping import ConflictDirectedSolver
-from repro.csp.backtracking import BacktrackingSolver
 from repro.csp.compiled import compile_network
-from repro.csp.enhanced import EnhancedSolver
-from repro.csp.forward_checking import ForwardCheckingSolver
-from repro.csp.minconflicts import MinConflictsSolver
-from repro.csp.weighted import BranchAndBoundSolver
 from repro.ir.program import Program
 from repro.layout.layout import Layout, row_major
 from repro.layout.locality import (
@@ -21,96 +17,44 @@ from repro.layout.locality import (
     has_temporal_locality,
     original_access_deltas,
 )
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.opt.network_builder import build_layout_network
 from repro.opt.passes.base import PipelineContext
-
-#: Scheme name -> solver factory (seed -> solver).  "weighted" is the
-#: branch & bound over the nest-cost weighted network: always returns
-#: an assignment, exact exactly when the hard network is satisfiable.
-_SCHEMES = {
-    "base": lambda seed: BacktrackingSolver(seed=seed),
-    "enhanced": lambda seed: EnhancedSolver(seed=seed),
-    "cbj": lambda seed: ConflictDirectedSolver(seed=seed),
-    "forward-checking": lambda seed: ForwardCheckingSolver(seed=seed),
-    "min-conflicts": lambda seed: MinConflictsSolver(seed=seed),
-    "weighted": lambda seed: BranchAndBoundSolver(),
-}
 
 
 class SolvePass:
-    """Solve the constraint network (or run the portfolio ladder).
+    """Solve the compiled network with the optimizer's scheme ladder.
 
-    Direct schemes solve the compiled kernel with the optimizer's
-    configured solver, falling back to weighted branch & bound when the
-    hard network is unsatisfiable.  Portfolio configurations delegate
-    to the service layer's :class:`~repro.service.PortfolioSolver` ladder
-    (built once, cached on the optimizer so resident processes reuse
-    it), which reports finished layouts directly -- the pass then skips
-    the assignment fields and fills ``layouts``/``scheme`` itself.
+    A direct scheme is a one-rung ladder with no deadline; a portfolio
+    is the configured ladder.  Either way, when no rung returns an
+    assignment the ladder's weighted branch & bound fallback answers
+    (see :mod:`repro.opt.ladder`).  Portfolio runs report their winner
+    as the outcome scheme ``"portfolio:<winner>"``.
     """
 
     name = "solve"
     requires: tuple[str, ...] = ()
-    provides: tuple[str, ...] = ("assignment", "stats", "exact", "scheme")
+    provides: tuple[str, ...] = (
+        "assignment", "stats", "exact", "scheme", "ladder",
+    )
 
     def __init__(self, optimizer):
         self._optimizer = optimizer
 
     def run(self, ctx: PipelineContext) -> None:
-        if self._optimizer.portfolio_config is not None:
-            self._run_portfolio(ctx)
-            return
         if ctx.kernel is None:
             raise ValueError(
                 "solve pass needs a compiled kernel; run the build pass first"
             )
-        solver = self._optimizer.solver
-        scheme_name = self._optimizer.scheme_name
-        with obs_trace.span("solve", scheme=scheme_name):
-            if isinstance(solver, BranchAndBoundSolver):
-                # First-class weighted scheme: solve the weighted network
-                # directly -- exact iff the hard network is satisfiable.
-                weighted_result = solver.solve_compiled(
-                    ctx.kernel, ctx.network.weights
-                )
-                assignment = dict(weighted_result.assignment)
-                stats = weighted_result.stats
-                exact = weighted_result.fully_satisfied
-            else:
-                result = solver.solve(ctx.kernel)
-                exact = result.assignment is not None
-                if exact:
-                    assignment = dict(result.assignment)
-                    stats = result.stats
-                else:
-                    weighted_result = BranchAndBoundSolver().solve_compiled(
-                        ctx.kernel, ctx.network.weights
-                    )
-                    assignment = dict(weighted_result.assignment)
-                    stats = weighted_result.stats
-                    exact = weighted_result.fully_satisfied
-        obs_metrics.counter(
-            "repro_optimizer_solves_total",
-            labels={"scheme": scheme_name, "exact": str(exact).lower()},
-            help="Direct (non-portfolio) optimizer solves by scheme.",
-        )
-        ctx.scheme = scheme_name
-        ctx.assignment = assignment
-        ctx.stats = stats
-        ctx.exact = exact
-
-    def _run_portfolio(self, ctx: PipelineContext) -> None:
         optimizer = self._optimizer
-        result = optimizer.portfolio_solver().optimize(ctx.program)
-        network = result.network
-        if network is None:  # served from a cache: rebuild provenance
-            network = build_layout_network(ctx.program, optimizer.options)
-        ctx.network = network
-        ctx.scheme = f"portfolio:{result.winner}"
-        ctx.layouts = dict(result.layouts)
-        ctx.stats = result.winner_stats()
+        result = optimizer.ladder.run(ctx.kernel, ctx.network.weights)
+        ctx.ladder = result
+        ctx.scheme = (
+            f"portfolio:{result.winner}"
+            if optimizer.portfolio_config is not None
+            else optimizer.scheme_name
+        )
+        ctx.assignment = result.assignment
+        ctx.stats = result.stats
         ctx.exact = result.exact
 
 
@@ -120,23 +64,19 @@ class RepairInflationPass:
     Exact assignments are greedily swapped toward lower bounding-box
     inflation (see :func:`repair_inflation`); then every declared array
     gets its layout from the assignment, defaulting to row-major for
-    arrays the network never constrained.  The portfolio path arrives
-    with finished layouts and no raw assignment (repair already ran
-    inside the portfolio), so the pass is a no-op there.
+    arrays the network never constrained.
     """
 
     name = "repair"
-    requires: tuple[str, ...] = ()
+    requires: tuple[str, ...] = ("assignment",)
     provides: tuple[str, ...] = ("layouts",)
 
-    def __init__(self, optimizer=None):
-        self._optimizer = optimizer
-
     def run(self, ctx: PipelineContext) -> None:
-        if ctx.assignment is None:
-            return
         if ctx.exact:
-            repair_inflation(ctx.network.network, ctx.assignment, ctx.program)
+            with obs_trace.span("repair_inflation"):
+                repair_inflation(
+                    ctx.network.network, ctx.assignment, ctx.program
+                )
         layouts: dict[str, Layout] = {}
         for decl in ctx.program.arrays:
             chosen = ctx.assignment.get(decl.name)

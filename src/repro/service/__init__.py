@@ -8,11 +8,12 @@ scheme; this package turns it into a serving stack:
   (stable across processes: cache keys).
 * :mod:`repro.service.cache` -- an in-memory LRU result cache with
   optional JSON persistence and hit/miss statistics.
-* :mod:`repro.service.portfolio` -- a deterministic scheme ladder per
-  request: schemes run one after another in priority order, the first
-  exact answer wins, a cooperative deadline bounds the worst case and
-  the weighted branch & bound is the fallback; with a per-scheme
-  outcome table.
+* :mod:`repro.service.portfolio` -- a result cache in front of the
+  optimizer's ``build -> solve -> repair`` passes, whose solve climbs
+  the deterministic scheme ladder of :mod:`repro.opt.ladder`: schemes
+  run one after another in priority order, the first exact answer
+  wins, a cooperative deadline bounds the worst case and the weighted
+  branch & bound is the fallback; with a per-scheme outcome table.
 * :mod:`repro.service.batch` -- many programs fanned across a worker
   pool, producing a throughput/latency report.
 * :mod:`repro.service.evaluate` -- the ``evaluate`` request kind:

@@ -7,9 +7,10 @@ disk, and exited.  The daemon keeps all of that resident:
 * a **persistent** :class:`~concurrent.futures.ProcessPoolExecutor`
   whose workers hold warm state -- a reusable
   :class:`~repro.service.portfolio.PortfolioSolver` and
-  :class:`~repro.service.evaluate.EvaluationService` instance plus a
-  bounded ``fingerprint -> LayoutNetwork`` memo -- so repeat requests
-  never rebuild or recompile a constraint network;
+  :class:`~repro.service.evaluate.EvaluationService` instance, each
+  built once around one optimizer pipeline -- so a miss pays only the
+  ``build -> solve -> repair`` passes (each traced as ``pass:<name>``
+  and timed in ``repro_pass_seconds``);
 * a **sharded** :class:`~repro.service.cache.ShardedResultCache`
   consulted in the parent, so warm requests answer without touching a
   worker at all;
@@ -97,7 +98,6 @@ class DaemonConfig:
         cache_dir: shard persistence directory (None = memory only).
         cache_capacity: LRU bound per shard.
         ttl_seconds: optional per-entry time-to-live.
-        network_memo: per-worker bound on memoized built networks.
         save_every: persist dirty shards after this many fresh stores
             (and always on shutdown).
     """
@@ -108,7 +108,6 @@ class DaemonConfig:
     cache_dir: str | None = None
     cache_capacity: int = 1024
     ttl_seconds: float | None = None
-    network_memo: int = 64
     save_every: int = 64
 
     def __post_init__(self) -> None:
@@ -122,8 +121,6 @@ class DaemonConfig:
             raise ValueError("cache_capacity must be positive")
         if self.ttl_seconds is not None and self.ttl_seconds <= 0:
             raise ValueError("ttl_seconds must be positive")
-        if self.network_memo < 1:
-            raise ValueError("network_memo must be positive")
         if self.save_every < 1:
             raise ValueError("save_every must be positive")
 
@@ -136,8 +133,7 @@ _WORKER_STATE: dict | None = None
 
 
 class _BoundedMemo(OrderedDict):
-    """A tiny LRU mapping: the per-worker built-network memo and the
-    daemon's wire memo."""
+    """A tiny LRU mapping: the daemon's wire memo."""
 
     def __init__(self, capacity: int):
         super().__init__()
@@ -156,24 +152,12 @@ class _BoundedMemo(OrderedDict):
             self.popitem(last=False)
 
 
-def _init_worker(
-    config: PortfolioConfig, options: BuildOptions, memo_capacity: int
-) -> None:
+def _init_worker(config: PortfolioConfig, options: BuildOptions) -> None:
     """Pool initializer: build the reusable per-process serving state."""
     global _WORKER_STATE
-    network_memo = _BoundedMemo(memo_capacity)
     _WORKER_STATE = {
-        "solver": PortfolioSolver(
-            config,
-            options=options,
-            network_cache=network_memo,
-        ),
-        "evaluator": EvaluationService(
-            config=config,
-            options=options,
-            network_cache=network_memo,
-        ),
-        "networks": network_memo,
+        "solver": PortfolioSolver(config, options=options),
+        "evaluator": EvaluationService(config=config, options=options),
     }
 
 
@@ -309,11 +293,7 @@ class SolverDaemon:
                 max_workers=self._daemon_config.workers,
                 mp_context=_pool_context(),
                 initializer=_init_worker,
-                initargs=(
-                    self._config,
-                    self._options,
-                    self._daemon_config.network_memo,
-                ),
+                initargs=(self._config, self._options),
             )
         return self._pool
 

@@ -261,11 +261,6 @@ class EvaluationService:
         cache: optional shared result cache (evaluation entries use
             their own token namespace, so one cache serves both
             request kinds).
-        network_cache: optional shared ``fingerprint -> LayoutNetwork``
-            mapping handed to the embedded portfolio solver (see
-            :class:`~repro.service.portfolio.PortfolioSolver`); a
-            resident worker process reuses built networks across
-            evaluate sweeps this way.
     """
 
     def __init__(
@@ -273,14 +268,12 @@ class EvaluationService:
         config: PortfolioConfig | None = None,
         options: BuildOptions | None = None,
         cache: ResultCache | None = None,
-        network_cache=None,
     ):
         self._config = config if config is not None else PortfolioConfig()
         self._options = options if options is not None else BuildOptions()
         self._cache = cache
         self._solver = PortfolioSolver(
-            self._config, options=self._options, cache=cache,
-            network_cache=network_cache,
+            self._config, options=self._options, cache=cache
         )
 
     def evaluate(self, request: EvaluationRequest) -> EvaluationResult:

@@ -3,7 +3,7 @@
 A :class:`~repro.service.stream.DaemonClient` given several daemon
 addresses (daemons on other hosts) routes every solve/evaluate request
 by its canonical fingerprint, so each fingerprint's result-cache entry
-and network memo live on exactly one daemon.  The routing primitive
+lives on exactly one daemon.  The routing primitive
 is the classic consistent-hash ring:
 
 * every member contributes ``virtual_nodes`` points on a 64-bit ring
@@ -182,8 +182,12 @@ def connect_address(address: str, timeout: float | None = None) -> socket.socket
     parsed = parse_address(address)
     if parsed[0] == "unix":
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(parsed[1])
+        try:
+            sock.settimeout(timeout)
+            sock.connect(parsed[1])
+        except BaseException:
+            sock.close()
+            raise
         return sock
     sock = socket.create_connection((parsed[1], parsed[2]), timeout=timeout)
     sock.settimeout(timeout)

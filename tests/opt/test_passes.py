@@ -25,8 +25,8 @@ from repro.layout.layout import row_major
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.opt.network_builder import BuildOptions, build_layout_network
+from repro.opt.ladder import SCHEMES
 from repro.opt.optimizer import (
-    _SCHEMES,
     LayoutOptimizer,
     repair_inflation,
     select_transforms,
@@ -63,7 +63,7 @@ def _legacy_optimize(
     refinement enumeration) produced them.
     """
     options = options if options is not None else BuildOptions()
-    solver = _SCHEMES[scheme](seed)
+    solver = SCHEMES[scheme](seed)
     layout_network = build_layout_network(program, options)
     kernel = layout_network.kernel()
     if isinstance(solver, BranchAndBoundSolver):
@@ -286,9 +286,12 @@ class TestPipelineInfrastructure:
             if metric == PASS_SECONDS_METRIC
         }
         assert labels == {"build", "solve", "repair", "transform"}
-        # The phase spans of the monolith survive inside their passes.
+        # The phase spans of the monolith survive inside their passes;
+        # the solve is the ladder's ``race`` span, one rung per scheme.
         assert root.find("build_network") is not None
-        assert root.find("solve") is not None
+        assert root.find("race") is not None
+        assert root.find("scheme:enhanced") is not None
+        assert root.find("repair_inflation") is not None
         assert root.find("transform_selection") is not None
 
     def test_unknown_pass_name_raises(self):

@@ -220,3 +220,20 @@ def test_connect_address_round_trip(tmp_path):
         client.close()
     finally:
         server.close()
+
+
+def test_failed_unix_connect_closes_its_socket(tmp_path, monkeypatch):
+    """A connect to a missing path raises and leaves no open socket
+    behind for the garbage collector."""
+    opened = []
+
+    class _Recording(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(socket, "socket", _Recording)
+    with pytest.raises(OSError):
+        connect_address(str(tmp_path / "missing.sock"), timeout=1.0)
+    assert len(opened) == 1
+    assert opened[0].fileno() == -1

@@ -1,6 +1,8 @@
 """Portfolio ladder: correctness vs single schemes, deadlines, caching."""
 
+import asyncio
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -11,19 +13,22 @@ from repro.bench import (
     random_suite,
 )
 from repro.csp.stats import SolverResult, SolverStats
+from repro.csp.weighted import BranchAndBoundSolver
 from repro.ir.parser import parse_program
+from repro.opt.ladder import SCHEMES
 from repro.opt.network_builder import BuildOptions, build_layout_network
 from repro.obs import trace as obs_trace
 from repro.opt.optimizer import LayoutOptimizer
 from repro.service.cache import ResultCache
+from repro.service.daemon import DaemonConfig, SolverDaemon
 from repro.service.fingerprint import request_fingerprint
 from repro.service.portfolio import (
-    EXTRA_SCHEMES,
     PortfolioConfig,
     PortfolioResult,
     PortfolioSolver,
     SchemeOutcome,
 )
+from repro.service.stream import layouts_from_wire, solve_request
 
 FIGURE2 = """
 array Q1[520][260]
@@ -78,7 +83,7 @@ class TestConfig:
         # bit-compatible with running that scheme directly.
         assert seeds[0] == config.seed
 
-    def test_race_hands_each_scheme_its_own_seed(self):
+    def test_race_hands_each_scheme_its_own_seed(self, monkeypatch):
         """Two randomized schemes must not take identical walks: the
         ladder derives one distinct RNG seed per position."""
         recorded: dict[str, int] = {}
@@ -97,16 +102,10 @@ class TestConfig:
 
             return make
 
-        EXTRA_SCHEMES["rec-a"] = factory("rec-a")
-        EXTRA_SCHEMES["rec-b"] = factory("rec-b")
-        try:
-            config = PortfolioConfig(
-                schemes=("rec-a", "rec-b"), seed=11
-            )
-            PortfolioSolver(config).optimize(parse_program(FIGURE2))
-        finally:
-            EXTRA_SCHEMES.pop("rec-a", None)
-            EXTRA_SCHEMES.pop("rec-b", None)
+        monkeypatch.setitem(SCHEMES, "rec-a", factory("rec-a"))
+        monkeypatch.setitem(SCHEMES, "rec-b", factory("rec-b"))
+        config = PortfolioConfig(schemes=("rec-a", "rec-b"), seed=11)
+        PortfolioSolver(config).optimize(parse_program(FIGURE2))
         assert recorded["rec-a"] == 11
         assert recorded["rec-b"] != recorded["rec-a"]
 
@@ -263,24 +262,14 @@ class TestCachingIntegration:
     def test_non_exact_results_are_not_cached(self, monkeypatch):
         """Best-effort answers are deadline-shaped; caching one would
         freeze it even for retries with a bigger budget."""
-        from repro.layout.layout import row_major
-
+        monkeypatch.setitem(SCHEMES, "partial", lambda seed: _PartialWeighted())
         program = parse_program(FIGURE2)
         cache = ResultCache()
         solver = PortfolioSolver(
-            PortfolioConfig(schemes=("enhanced",)), cache=cache
-        )
-        monkeypatch.setattr(
-            solver,
-            "_run_ladder",
-            lambda network, weights: (
-                "enhanced",
-                False,
-                {"Q1": row_major(2), "Q2": row_major(2)},
-                (),
-            ),
+            PortfolioConfig(schemes=("partial",)), cache=cache
         )
         result = solver.optimize(program)
+        assert result.winner == "partial"
         assert not result.exact
         assert len(cache) == 0
 
@@ -356,24 +345,26 @@ class _CooperativeSleeper:
         return SolverResult(None, SolverStats(), complete=False)
 
 
-@pytest.fixture
-def cooperative_scheme():
-    EXTRA_SCHEMES["cooperative"] = lambda seed: _CooperativeSleeper()
-    try:
-        yield "cooperative"
-    finally:
-        EXTRA_SCHEMES.pop("cooperative", None)
+class _PartialWeighted(BranchAndBoundSolver):
+    """A weighted rung whose best answer misses some constraint weight."""
+
+    def solve_compiled(self, kernel, weights=None, default_weight=1.0):
+        result = super().solve_compiled(kernel, weights, default_weight)
+        return replace(result, satisfied_weight=result.optimal_weight - 1.0)
 
 
 @pytest.fixture
-def cooperative_pair():
-    EXTRA_SCHEMES["cooperative-a"] = lambda seed: _CooperativeSleeper()
-    EXTRA_SCHEMES["cooperative-b"] = lambda seed: _CooperativeSleeper()
-    try:
-        yield ("cooperative-a", "cooperative-b")
-    finally:
-        EXTRA_SCHEMES.pop("cooperative-a", None)
-        EXTRA_SCHEMES.pop("cooperative-b", None)
+def cooperative_scheme(monkeypatch):
+    monkeypatch.setitem(SCHEMES, "cooperative", lambda seed: _CooperativeSleeper())
+    return "cooperative"
+
+
+@pytest.fixture
+def cooperative_pair(monkeypatch):
+    names = ("cooperative-a", "cooperative-b")
+    for name in names:
+        monkeypatch.setitem(SCHEMES, name, lambda seed: _CooperativeSleeper())
+    return names
 
 
 class TestDeadlinePropagation:
@@ -402,7 +393,7 @@ class TestDeadlinePropagation:
         names = ("cooperative-a", "cooperative-b")
         for name in names:
             monkeypatch.setitem(
-                EXTRA_SCHEMES,
+                SCHEMES,
                 name,
                 lambda seed, name=name: sleepers.setdefault(
                     name, _CooperativeSleeper()
@@ -421,3 +412,59 @@ class TestDeadlinePropagation:
         first = sleepers[names[0]].deadline_seconds
         second = sleepers[names[1]].deadline_seconds
         assert 0 < second < first <= 5.0
+
+
+class TestSinglePath:
+    """The portfolio is a cache in front of ``LayoutOptimizer``'s
+    pipeline: both give one answer, and so does the daemon."""
+
+    def test_portfolio_solver_matches_layout_optimizer(self):
+        options = benchmark_build_options()
+        programs = [build_benchmark(name) for name in BENCHMARK_NAMES]
+        programs += random_suite(40, 1)
+        config = PortfolioConfig()
+        solver = PortfolioSolver(config, options=options)
+        optimizer = LayoutOptimizer(config, options=options)
+        for program in programs:
+            result = solver.optimize(program)
+            outcome = optimizer.optimize(program)
+            assert result.layouts == outcome.layouts, program.name
+            assert result.exact == outcome.exact
+            assert outcome.scheme == f"portfolio:{result.winner}"
+            assert outcome.ladder.winner == result.winner
+            winner = result.winner_stats()
+            assert (
+                winner.nodes,
+                winner.consistency_checks,
+                winner.backtracks,
+            ) == (
+                outcome.stats.nodes,
+                outcome.stats.consistency_checks,
+                outcome.stats.backtracks,
+            )
+
+    def test_daemon_solve_reply_carries_the_optimizer_layouts(self):
+        options = benchmark_build_options()
+        config = PortfolioConfig()
+        programs = [build_benchmark(name) for name in BENCHMARK_NAMES[:2]]
+        programs += random_suite(3, 1)
+        daemon = SolverDaemon(
+            config, options=options, daemon_config=DaemonConfig(workers=1)
+        )
+
+        async def serve():
+            return [
+                await daemon.handle_request(solve_request(p, index))
+                for index, p in enumerate(programs)
+            ]
+
+        try:
+            replies = asyncio.run(serve())
+        finally:
+            daemon.close()
+        optimizer = LayoutOptimizer(config, options=options)
+        for program, reply in zip(programs, replies):
+            assert reply["ok"], reply
+            outcome = optimizer.optimize(program)
+            assert layouts_from_wire(reply["result"]["layouts"]) == outcome.layouts
+            assert reply["result"]["winner"] == outcome.ladder.winner
