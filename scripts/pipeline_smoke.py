@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke check for the optimizer pass pipeline.
 
-Three gates, all over the five paper programs:
+Four gates, all over the five paper programs:
 
 * **Default-pipeline equivalence** -- runs each program through
   ``LayoutOptimizer``'s default pipeline and asserts layouts, solver
@@ -14,6 +14,12 @@ Three gates, all over the five paper programs:
   asserts the winner, the per-rung status table, the layouts and the
   winner's nodes, checks and backtracks match the ``"ladder"`` entries
   of the same expectations file exactly.
+* **Table 3 cycles** -- simulates each program's original (row-major),
+  heuristic and enhanced layouts the way ``benchmarks/conftest.py``'s
+  ``simulations`` fixture does and asserts the cycle counts match the
+  ``"table3"`` entries exactly (the enhanced counts sum to perfbench's
+  ``sim_cycles``).  The base scheme stays out: CI runs it only at a
+  node cap.
 * **Extended-pipeline composition** -- reruns each program through a
   reordered/extended pipeline (``build, solve, repair, joint,
   dynamic, transform``) under span recording, asserting it completes,
@@ -41,16 +47,24 @@ from repro.bench.programs import (
     benchmark_build_options,
     build_benchmark,
 )
+from repro.csp.enhanced import EnhancedSolver
 from repro.eval import AnalyticCostModel
+from repro.layout.layout import row_major
 from repro.obs import trace as obs_trace
-from repro.opt.optimizer import LayoutOptimizer
+from repro.opt.heuristic import HeuristicOptimizer
+from repro.opt.network_builder import build_layout_network
+from repro.opt.optimizer import LayoutOptimizer, repair_inflation, select_transforms
 from repro.service.portfolio import PortfolioConfig, PortfolioSolver
 from repro.service.stream import layouts_to_wire
+from repro.simul.executor import simulate_program
 
 EXPECTATIONS = Path(__file__).with_name("pipeline_expectations.json")
 
 #: The reordered/extended pipeline of gate (b).
 EXTENDED_PASSES = ("build", "solve", "repair", "joint", "dynamic", "transform")
+
+#: Solver seed of the Table 3 gate (``HARNESS_SEED`` of the benchmarks).
+TABLE3_SEED = 1
 
 
 def _outcome_record(outcome) -> dict:
@@ -88,6 +102,35 @@ def _ladder_outcomes() -> dict:
     return records
 
 
+def _table3_cycles() -> dict:
+    """Simulated cycles per program: original, heuristic, enhanced."""
+    options = benchmark_build_options()
+    records = {}
+    for name in BENCHMARK_NAMES:
+        program = build_benchmark(name)
+        network = build_layout_network(program, options).network
+        solution = EnhancedSolver(seed=TABLE3_SEED).solve(network)
+        assignment = dict(solution.assignment)
+        repair_inflation(network, assignment, program)
+        enhanced = dict(assignment)
+        for decl in program.arrays:
+            enhanced.setdefault(decl.name, row_major(decl.rank))
+        heuristic = HeuristicOptimizer(
+            options.include_reversals, options.skew_factors
+        ).optimize(program).layouts
+        original = {decl.name: row_major(decl.rank) for decl in program.arrays}
+        cycles = {"original": simulate_program(program, original).cycles}
+        for version, layouts in (("heuristic", heuristic), ("enhanced", enhanced)):
+            transforms = select_transforms(
+                program, layouts, options.include_reversals, options.skew_factors
+            )
+            cycles[version] = simulate_program(
+                program, layouts, transforms=transforms
+            ).cycles
+        records[name] = cycles
+    return records
+
+
 def record() -> int:
     EXPECTATIONS.write_text(
         json.dumps(
@@ -96,6 +139,7 @@ def record() -> int:
                 "seed": 0,
                 "programs": _default_outcomes(),
                 "ladder": _ladder_outcomes(),
+                "table3": _table3_cycles(),
             },
             indent=2,
             sort_keys=True,
@@ -157,6 +201,25 @@ def check_default_ladder() -> int:
         if not drifted:
             print(f"ok: {name}: default ladder identical "
                   f"(winner {got['winner']}, {len(got['table'])} rungs)")
+    return failures
+
+
+def check_table3() -> int:
+    expected = json.loads(EXPECTATIONS.read_text()).get("table3")
+    if expected is None:
+        print(f"FAIL: no table3 expectations in {EXPECTATIONS}; "
+              "run with --record first")
+        return 1
+    failures = 0
+    for name, got in _table3_cycles().items():
+        want = expected.get(name)
+        if got != want:
+            print(f"FAIL: {name}: Table 3 cycles drifted from expectation\n"
+                  f"  want: {want}\n  got:  {got}")
+            failures += 1
+        else:
+            print(f"ok: {name}: Table 3 cycles identical "
+                  f"(enhanced {got['enhanced']:,})")
     return failures
 
 
@@ -222,6 +285,7 @@ def main(argv) -> int:
         print(f"pipeline smoke: {failures} failure(s)")
         return 1
     failures += check_default_ladder()
+    failures += check_table3()
     failures += check_extended_pipeline()
     if failures:
         print(f"pipeline smoke: {failures} failure(s)")

@@ -24,11 +24,8 @@ scheme; this package turns it into a serving stack:
   streaming loop over a persistent warm worker pool, fronted by a
   *sharded* persistent result cache with backpressure.
 * :mod:`repro.service.stream` -- the daemon's JSON-lines wire protocol
-  and the synchronous pipelining :class:`DaemonClient` (with
-  client-side consistent-hash routing when given several addresses).
-* :mod:`repro.service.routing` -- the consistent-hash ring mapping
-  request fingerprints to daemons for a multi-address client, plus
-  the address vocabulary shared by clients and daemons.
+  and the synchronous pipelining :class:`DaemonClient`, which talks to
+  one daemon over its unix socket.
 * :mod:`repro.service.cli` -- the ``python -m repro.service`` front
   end tying it all together (``--serve`` / ``--connect`` for the
   daemon).
@@ -58,7 +55,6 @@ from repro.service.portfolio import (
     SchemeOutcome,
     known_schemes,
 )
-from repro.service.routing import HashRing
 from repro.service.stream import DaemonClient, ProtocolError
 
 __all__ = [
@@ -67,7 +63,6 @@ __all__ = [
     "CacheStats",
     "ResultCache",
     "ShardedResultCache",
-    "HashRing",
     "DaemonConfig",
     "SolverDaemon",
     "DaemonClient",

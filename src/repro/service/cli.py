@@ -16,9 +16,9 @@ Daemon mode::
 
 runs the resident solver daemon (persistent worker pool, sharded
 persistent cache, JSON-lines streaming protocol -- see
-:mod:`repro.service.daemon`); without ``--socket`` it serves stdin to
-stdout.  Any batch invocation becomes a thin client of a running
-daemon with ``--connect /tmp/repro.sock``.
+:mod:`repro.service.daemon`) on one unix socket; without ``--socket``
+it serves stdin to stdout.  Any batch invocation becomes a thin
+client of that one daemon with ``--connect /tmp/repro.sock``.
 """
 
 from __future__ import annotations
@@ -179,11 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     daemon.add_argument(
         "--connect",
         default=None,
-        metavar="ADDR[,ADDR...]",
+        metavar="PATH",
         help=(
-            "send this batch to a daemon instead of solving here; a "
-            "comma-separated list of daemons routes each request to "
-            "the daemon owning its fingerprint (consistent hashing)"
+            "send this batch to the daemon listening on this unix "
+            "socket instead of solving here"
         ),
     )
     daemon.add_argument(
@@ -371,14 +370,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.connect is not None:
         from repro.service.stream import DaemonClient
 
-        addresses = [a.strip() for a in args.connect.split(",") if a.strip()]
-        if not addresses:
-            raise SystemExit("--connect needs at least one address")
         try:
-            client = DaemonClient(
-                addresses if len(addresses) > 1 else addresses[0],
-                options=benchmark_build_options(),
-            )
+            client = DaemonClient(args.connect)
         except OSError as exc:
             raise SystemExit(f"cannot connect to daemon at {args.connect}: {exc}")
 

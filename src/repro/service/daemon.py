@@ -15,12 +15,12 @@ disk, and exited.  The daemon keeps all of that resident:
   consulted in the parent, so warm requests answer without touching a
   worker at all;
 * an **asyncio** serving loop reading JSON-lines requests (see
-  :mod:`repro.service.stream`) from a unix socket or stdin, answering
-  out of order as work completes;
+  :mod:`repro.service.stream`) from one unix socket or from stdin,
+  answering out of order as work completes;
 * **backpressure** via a bounded in-flight semaphore: when
   ``max_inflight`` requests are being served, the daemon stops
   *reading* from the connection, the socket buffer fills, and the
-  client's writes block -- flow control falls out of TCP/pipe
+  client's writes block -- flow control falls out of socket/pipe
   semantics instead of an unbounded queue;
 * **in-flight deduplication**: concurrent identical misses (same
   fingerprint and config token) share one worker dispatch;
@@ -30,7 +30,9 @@ disk, and exited.  The daemon keeps all of that resident:
   :class:`~repro.ir.program.Program` (it is decoded on first sight,
   and again only when the cache no longer holds the answer).
 
-The batch front end stays available -- ``run_batch(..., client=...)``
+One daemon per host is the deployment: its worker pool takes the
+host's cores, and every client talks to it over its unix socket.  The
+batch front end stays available -- ``run_batch(..., client=...)``
 turns it into a thin client of a running daemon.
 """
 
@@ -43,6 +45,7 @@ import json
 import logging
 import multiprocessing
 import os
+import stat
 import sys
 import threading
 import time
@@ -66,7 +69,6 @@ from repro.opt.passes.base import PASS_SECONDS_METRIC
 from repro.opt.network_builder import BuildOptions
 from repro.service import stream
 from repro.service.cache import ShardedResultCache
-from repro.service.routing import parse_address, reclaim_stale_socket
 from repro.service.evaluate import (
     EvaluationRequest,
     EvaluationService,
@@ -890,8 +892,8 @@ class SolverDaemon:
         The socket file is removed on exit.  A stale file left by a
         SIGKILL-ed predecessor is reclaimed on entry -- but only after
         a probe connection confirms nothing live is accepting on it
-        (:func:`~repro.service.routing.reclaim_stale_socket`), so two
-        daemons can never silently fight over one path.
+        (:func:`reclaim_stale_socket`), so two daemons can never
+        silently fight over one path.
         """
         reclaim_stale_socket(socket_path)
         self.warm_up()
@@ -909,30 +911,6 @@ class SolverDaemon:
             with contextlib.suppress(OSError):
                 os.unlink(socket_path)
             self.close()
-
-    async def serve_tcp(self, host: str, port: int) -> None:
-        """Listen on a TCP socket until a ``shutdown`` request (daemons
-        on other hosts, reached by a multi-address client; same wire
-        protocol, same loop as :meth:`serve_unix`)."""
-        self.warm_up()
-        server = await asyncio.start_server(
-            self.serve_connection, host=host, port=port, limit=MAX_REQUEST_BYTES
-        )
-        logger.info("daemon listening on %s:%d", host, port)
-        try:
-            async with server:
-                await self._shutdown.wait()
-                await asyncio.sleep(0.05)
-        finally:
-            self.close()
-
-    async def serve_address(self, address: str) -> None:
-        """Serve one address (unix path or ``host:port``)."""
-        parsed = parse_address(address)
-        if parsed[0] == "unix":
-            await self.serve_unix(parsed[1])
-        else:
-            await self.serve_tcp(parsed[1], parsed[2])
 
     async def serve_stdio(self) -> None:
         """Serve JSON lines from stdin to stdout (one-shot pipelines:
@@ -972,6 +950,43 @@ class SolverDaemon:
             await self._serve_stream(queue.get, write_line)
         finally:
             self.close()
+
+
+def reclaim_stale_socket(path: str) -> None:
+    """Remove a unix socket file only if no live daemon holds it.
+
+    A daemon killed with SIGKILL leaves its socket file behind; a
+    blind ``unlink`` on startup would also happily sever a *running*
+    daemon from its clients.  Probe first: if something accepts a
+    connection on the path the socket is live and binding must fail;
+    if the connection is refused the file is stale and safe to remove.
+    Non-socket files are never touched.
+
+    Raises:
+        OSError: when a live daemon already serves the path, or the
+            path exists but is not a socket.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return
+    if not stat.S_ISSOCK(mode):
+        raise OSError(
+            f"refusing to reclaim {path}: exists but is not a socket"
+        )
+    try:
+        stream.connect_unix(path, timeout=1.0).close()
+    except (ConnectionRefusedError, TimeoutError):
+        # Nothing is accepting: a stale file from an abnormal shutdown.
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass  # raced with another reclaimer; the bind will tell
+    else:
+        raise OSError(
+            f"socket {path} is held by a live daemon; "
+            "refusing to unlink it"
+        )
 
 
 def _noop(_: int) -> None:
@@ -1035,14 +1050,9 @@ def serve(
     daemon_config: DaemonConfig | None = None,
     socket_path: str | None = None,
     trace_log: str | None = None,
-    address: str | None = None,
 ) -> int:
-    """Blocking entry point used by the CLI's ``--serve``.
-
-    ``socket_path`` keeps the historical unix-only spelling;
-    ``address`` accepts a unix path *or* ``host:port``.  With neither,
-    the daemon serves stdio.
-    """
+    """Blocking entry point used by the CLI's ``--serve``: serve the
+    unix socket at ``socket_path``, or stdio without one."""
     daemon = SolverDaemon(
         config=config,
         options=options,
@@ -1051,8 +1061,6 @@ def serve(
     )
     if socket_path is not None:
         asyncio.run(daemon.serve_unix(socket_path))
-    elif address is not None:
-        asyncio.run(daemon.serve_address(address))
     else:
         asyncio.run(daemon.serve_stdio())
     return 0

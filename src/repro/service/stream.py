@@ -40,15 +40,17 @@ so any JSON-speaking client can submit programs the daemon has never
 seen -- the service is not limited to the named paper benchmarks.
 
 :class:`DaemonClient` is the synchronous client used by the batch CLI
-(``--connect``), the benchmarks, and the CI smoke script.  It
-pipelines: ``request_many`` writes every request line before reading
-the first response, which is what makes the warm daemon path a
-throughput measurement instead of a ping-pong latency one.
+(``--connect``), the benchmarks, and the CI smoke script.  It talks
+to one daemon over its unix socket, and it pipelines:
+``request_many`` writes every request line before reading the first
+response, which is what makes the warm daemon path a throughput
+measurement instead of a ping-pong latency one.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 from typing import Iterable, Mapping, Sequence
 
 from repro.ir.arrays import ArrayDecl
@@ -149,7 +151,16 @@ def program_from_wire(data: Mapping) -> Program:
             for nest in data["nests"]
         )
         return Program(data["name"], arrays, nests)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (
+        KeyError,
+        TypeError,
+        ValueError,
+        # ``int()`` of an infinite float: JSON allows ``Infinity`` in
+        # an extent, bound, coefficient or weight.
+        OverflowError,
+        # A name that is not a string (the IR calls ``isidentifier``).
+        AttributeError,
+    ) as exc:
         raise ProtocolError(f"malformed program payload: {exc}") from exc
 
 
@@ -168,7 +179,7 @@ def layouts_from_wire(data: Mapping) -> dict[str, Layout]:
             name: Layout(entry["dimension"], [tuple(r) for r in entry["rows"]])
             for name, entry in data.items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed layouts payload: {exc}") from exc
 
 
@@ -281,96 +292,68 @@ def evaluate_request(
 # -- synchronous client --------------------------------------------------
 
 
+def connect_unix(path: str, timeout: float | None = None) -> socket.socket:
+    """Open a blocking client socket to a daemon's unix socket.
+
+    The socket is closed again when ``connect()`` fails, so a dead
+    daemon leaks no file descriptor.
+    """
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        sock.settimeout(timeout)
+        sock.connect(path)
+    except BaseException:
+        sock.close()
+        raise
+    return sock
+
+
 class DaemonClient:
-    """Blocking JSON-lines client for one daemon -- or several.
+    """Blocking JSON-lines client for one daemon.
 
     Args:
-        address: a daemon address (unix-socket path or TCP
-            ``host:port``), or a sequence of them.  With several
-            addresses the client routes each solve/evaluate request to
-            the daemon that *owns* its fingerprint on a
-            consistent-hash ring over the addresses, so each answer
-            is cached on one daemon; on connection failure it falls
-            back through the remaining addresses.
+        socket_path: the daemon's unix socket.
         timeout: per-read socket timeout in seconds (None blocks
             forever; solves can legitimately take a while, so the
             default is generous).
-        options: the :class:`BuildOptions` the daemons fingerprint
-            with; only consulted for client-side routing (a mismatch
-            never changes answers -- requests merely land on a
-            non-owner, which then solves them itself).
-        retry: reconnect and resend outstanding requests once per
-            daemon on a transient connection error
-            (``ConnectionResetError``/``BrokenPipeError``/timeout)
-            mid-pipeline, instead of raising to the caller.
 
-    The client assigns request ids automatically when the caller did
-    not, and matches out-of-order responses back to request order.
-    Use as a context manager to close the connections deterministically.
+    The client holds one connection, opened by the constructor so a
+    client to a dead daemon raises immediately.  It assigns request
+    ids automatically when the caller did not, and matches
+    out-of-order responses back to request order.  On a transient
+    connection error mid-pipeline (``ConnectionResetError``,
+    ``BrokenPipeError``, a timeout) it reconnects and resends the
+    outstanding requests instead of raising to the caller.  Use as a
+    context manager to close the connection deterministically.
     """
 
-    def __init__(
-        self,
-        address: str | Sequence[str],
-        timeout: float | None = 600.0,
-        options=None,
-        retry: bool = True,
-    ):
-        if isinstance(address, str):
-            addresses = [address]
-        else:
-            addresses = [str(item) for item in address]
-        if not addresses:
-            raise ValueError("DaemonClient needs at least one address")
-        # Lazy imports keep the module importable without the opt layer
-        # in pathological embedding scenarios; these are stdlib-cheap.
-        from repro.service.routing import HashRing
-
-        self._addresses = addresses
+    def __init__(self, socket_path: str, timeout: float | None = 600.0):
+        self._socket_path = socket_path
         self._timeout = timeout
-        self._options = options
-        self._retry = retry
-        self._ring = HashRing(addresses) if len(addresses) > 1 else None
-        # address -> (socket, buffered reader); opened on first use so
-        # a 3-address client talking to one daemon opens one socket.
-        self._connections: dict[str, tuple] = {}
+        # (socket, buffered reader), or None between a dropped
+        # connection and the next request.
+        self._open: tuple | None = None
         self._next_id = 0
-        # Fail fast on a bad primary address (matches the historical
-        # constructor contract: creating a client to a dead daemon
-        # raises immediately).
-        self._connection(addresses[0])
+        self._connection()
 
-    @property
-    def addresses(self) -> tuple[str, ...]:
-        """The daemon addresses this client may talk to."""
-        return tuple(self._addresses)
+    def _connection(self) -> tuple:
+        if self._open is None:
+            sock = connect_unix(self._socket_path, timeout=self._timeout)
+            self._open = (sock, sock.makefile("rb"))
+        return self._open
 
-    def _connection(self, address: str) -> tuple:
-        entry = self._connections.get(address)
-        if entry is None:
-            from repro.service.routing import connect_address
-
-            sock = connect_address(address, timeout=self._timeout)
-            entry = (sock, sock.makefile("rb"))
-            self._connections[address] = entry
-        return entry
-
-    def _drop_connection(self, address: str) -> None:
-        entry = self._connections.pop(address, None)
-        if entry is not None:
-            sock, reader = entry
-            try:
-                reader.close()
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+    def _drop_connection(self) -> None:
+        if self._open is not None:
+            sock, reader = self._open
+            self._open = None
+            for stream_end in (reader, sock):
+                try:
+                    stream_end.close()
+                except OSError:
+                    pass
 
     def close(self) -> None:
-        for address in list(self._connections):
-            self._drop_connection(address)
+        self._drop_connection()
 
     def __enter__(self) -> "DaemonClient":
         return self
@@ -395,32 +378,6 @@ class DaemonClient:
             raise ProtocolError("daemon response must be a JSON object")
         return payload
 
-    # -- client-side routing --------------------------------------------
-
-    def _routing_key(self, payload: Mapping) -> str | None:
-        """The fingerprint a routable request hashes to, or None."""
-        kind = payload.get("kind")
-        if kind not in ("solve", "evaluate") or not isinstance(
-            payload.get("program"), dict
-        ):
-            return None
-        from repro.service.fingerprint import request_fingerprint
-
-        try:
-            program = program_from_wire(payload["program"])
-        except ProtocolError:
-            return None  # let the daemon produce the error line
-        return request_fingerprint(program, self._options)
-
-    def _target_for(self, payload: Mapping) -> str:
-        """Owner daemon for routable requests; the primary otherwise."""
-        if self._ring is None:
-            return self._addresses[0]
-        key = self._routing_key(payload)
-        if key is None:
-            return self._addresses[0]
-        return self._ring.owner(key)
-
     def request(self, payload: Mapping) -> dict:
         """Send one request and wait for its response."""
         return self.request_many([payload])[0]
@@ -431,9 +388,7 @@ class DaemonClient:
         Responses are returned in *request* order regardless of the
         order the daemon finished them in.  Auto-assigned ids skip any
         caller-supplied ones, and duplicate caller ids are rejected --
-        ids are the only way responses pair back to requests.  With
-        several addresses the batch is partitioned by fingerprint
-        owner and each partition is pipelined to its daemon.
+        ids are the only way responses pair back to requests.
 
         Raises:
             ProtocolError: when two payloads share a request id.
@@ -461,84 +416,63 @@ class DaemonClient:
             raise ProtocolError(
                 f"duplicate request ids in batch: {', '.join(duplicates)}"
             )
-        wanted = [p["id"] for p in prepared]
-        groups: dict[str, list[dict]] = {}
-        for payload in prepared:
-            groups.setdefault(self._target_for(payload), []).append(payload)
-        by_id: dict = {}
-        for address, group in groups.items():
-            by_id.update(self._deliver(address, group))
-        return [by_id[request_id] for request_id in wanted]
+        by_id = self._deliver(prepared)
+        return [by_id[request_id] for request_id in ids]
 
-    def _deliver(self, address: str, payloads: Sequence[Mapping]) -> dict:
-        """Pipeline payloads to a daemon; reconnect-retry, then fail over.
+    def _deliver(self, payloads: Sequence[Mapping]) -> dict:
+        """Pipeline payloads to the daemon, reconnecting on a reset.
 
-        Per daemon: one reconnect+resend retry on a transient
-        connection error (daemon restarted, socket reset mid-batch).
-        Responses collected before the error are kept -- only the
-        outstanding remainder is resent; resends are safe because
-        every request kind is idempotent (solves are cached and
-        deduplicated on the daemon).  When the daemon stays down and
-        the client knows other addresses, the remainder fails over
-        through them in address order.
+        Responses collected before a connection error are kept and
+        only the outstanding remainder is resent; resends are safe
+        because every request kind is idempotent (solves are cached
+        and deduplicated on the daemon).
 
         Raises:
             ProtocolError: when the daemon refuses a request line as
                 too large (never retried).
+            ConnectionError: when a reconnect-and-resend yields no
+                response twice in a row.
         """
         outstanding = {payload["id"]: payload for payload in payloads}
         collected: dict = {}
-        targets = [address]
-        if self._ring is not None:
-            targets.extend(a for a in self._addresses if a != address)
-        last_error: Exception | None = None
-        for target in targets:
-            # One *blind* retry per daemon: an attempt that collected
-            # responses before dying proves the daemon is serving (it
-            # was restarted, or the socket reset mid-batch), so
-            # reconnecting again is progress, not spinning -- only
-            # attempts that yield nothing consume the retry budget.
-            blind_retries = 1 if self._retry else 0
-            while True:
-                if not outstanding:
-                    return collected
-                before = len(collected)
-                try:
-                    sock, reader = self._connection(target)
-                    sock.sendall(
-                        b"".join(
-                            encode_response(p) for p in outstanding.values()
-                        )
-                    )
-                    while outstanding:
-                        response = self._read_response(reader)
-                        if response.get("reason") == REQUEST_TOO_LARGE:
-                            # The daemon closes after this reply, and a
-                            # resend would be refused again: terminal.
-                            self._drop_connection(target)
-                            raise ProtocolError(response.get("error"))
-                        response_id = response.get("id")
-                        if response_id in outstanding:
-                            del outstanding[response_id]
-                            collected[response_id] = response
-                        # responses for ids we never sent (stale
-                        # pipeline) are dropped
-                    return collected
-                except (ConnectionError, OSError) as exc:
-                    # Covers ConnectionResetError, BrokenPipeError,
-                    # socket.timeout and refused reconnects alike.
-                    self._drop_connection(target)
-                    last_error = exc
-                    if not self._retry:
-                        break
-                    if len(collected) == before:
-                        if blind_retries == 0:
-                            break
-                        blind_retries -= 1
-        raise ConnectionError(
-            f"no daemon at {targets} answered "
-            f"{len(outstanding)} outstanding request(s): {last_error}"
-        ) from last_error
+        # One *blind* retry: an attempt that collected responses
+        # before dying proves the daemon is serving (it was
+        # restarted, or the socket reset mid-batch), so reconnecting
+        # again is progress, not spinning -- only attempts that yield
+        # nothing consume the retry budget.
+        blind_retries = 1
+        while outstanding:
+            before = len(collected)
+            try:
+                sock, reader = self._connection()
+                sock.sendall(
+                    b"".join(encode_response(p) for p in outstanding.values())
+                )
+                while outstanding:
+                    response = self._read_response(reader)
+                    if response.get("reason") == REQUEST_TOO_LARGE:
+                        # The daemon closes after this reply, and a
+                        # resend would be refused again: terminal.
+                        self._drop_connection()
+                        raise ProtocolError(response.get("error"))
+                    response_id = response.get("id")
+                    if response_id in outstanding:
+                        del outstanding[response_id]
+                        collected[response_id] = response
+                    # responses for ids we never sent (stale
+                    # pipeline) are dropped
+            except (ConnectionError, OSError) as exc:
+                # Covers ConnectionResetError, BrokenPipeError,
+                # socket.timeout and refused reconnects alike.
+                self._drop_connection()
+                if len(collected) == before:
+                    if blind_retries == 0:
+                        raise ConnectionError(
+                            f"daemon at {self._socket_path} did not answer "
+                            f"{len(outstanding)} outstanding request(s): {exc}"
+                        ) from exc
+                    blind_retries -= 1
+        return collected
 
     # -- convenience wrappers -------------------------------------------
 

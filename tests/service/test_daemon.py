@@ -19,7 +19,12 @@ from repro.ir.parser import parse_program
 from repro.opt.network_builder import BuildOptions
 from repro.service.batch import run_batch
 from repro.service.cache import ShardedResultCache
-from repro.service.daemon import MAX_REQUEST_BYTES, DaemonConfig, SolverDaemon
+from repro.service.daemon import (
+    MAX_REQUEST_BYTES,
+    DaemonConfig,
+    SolverDaemon,
+    reclaim_stale_socket,
+)
 from repro.service.evaluate import EvaluationRequest, run_evaluation_batch
 from repro.service.fingerprint import request_fingerprint
 from repro.service.portfolio import PortfolioConfig, PortfolioResult
@@ -127,7 +132,7 @@ class TestProtocol:
         self, harness
     ):
         with harness.client() as client:
-            sock, reader = client._connection(client.addresses[0])
+            sock, reader = client._connection()
             sock.sendall(b"{not json}\n")
             response = client._read_response(reader)
             assert response["ok"] is False
@@ -141,7 +146,7 @@ class TestProtocol:
         # "cache_lookup" was a request kind of the removed cache
         # peering; it is now as unknown as a typo.
         with harness.client() as client:
-            sock, reader = client._connection(client.addresses[0])
+            sock, reader = client._connection()
             for request_id, kind in ((41, "solv"), (42, "cache_lookup")):
                 sock.sendall(
                     json.dumps({"id": request_id, "kind": kind}).encode()
@@ -198,6 +203,42 @@ class TestProtocol:
         assert response["reason"] == INTERNAL
         assert "worker fell over" in response["error"]
         assert daemon.error_counters[INTERNAL] == 1
+
+
+class TestMistypedProgramFields:
+    """JSON allows ``Infinity`` where the program wire wants an integer
+    and ``null`` where it wants a name; both are bad requests, not
+    internal failures."""
+
+    @pytest.mark.parametrize(
+        "field", ["extent", "coefficient", "weight", "bound", "name"]
+    )
+    def test_is_a_bad_request_not_internal(self, field, caplog):
+        caplog.set_level(logging.WARNING)
+        payload = solve_request(_program(520), request_id=5)
+        wire = payload["program"]
+        if field == "extent":
+            wire["arrays"][0][1][0] = float("inf")
+        elif field == "coefficient":
+            wire["nests"][0]["body"][0][1][0][0][0][1] = float("inf")
+        elif field == "weight":
+            wire["nests"][0]["weight"] = float("inf")
+        elif field == "bound":
+            wire["nests"][0]["loops"][0][2] = float("inf")
+        else:
+            wire["arrays"][0][0] = None
+        daemon = SolverDaemon(
+            config=_fast_config(),
+            daemon_config=DaemonConfig(workers=1, shards=1),
+        )
+        try:
+            response = asyncio.run(daemon.handle_line(json.dumps(payload)))
+        finally:
+            daemon.close()
+        assert response["id"] == 5
+        assert response["ok"] is False
+        assert response["reason"] == BAD_REQUEST
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 class TestFraming:
@@ -439,6 +480,68 @@ class TestWireMemoProperty:
         assert memoized == request_fingerprint(
             program_from_wire(second), options
         )
+
+
+class TestStaleSocketReclaim:
+    def test_missing_path_is_fine(self, tmp_path):
+        reclaim_stale_socket(str(tmp_path / "never-existed.sock"))
+
+    def test_stale_socket_is_unlinked(self, tmp_path):
+        """A socket file whose daemon died (no listener) is removed."""
+        path = str(tmp_path / "stale.sock")
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.bind(path)
+        sock.close()  # bound but never listening -> connect refused
+        assert os.path.exists(path)
+        reclaim_stale_socket(path)
+        assert not os.path.exists(path)
+
+    def test_live_socket_is_protected(self, tmp_path):
+        """A path a live daemon accepts on must not be unlinked."""
+        path = str(tmp_path / "live.sock")
+        server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        server.bind(path)
+        server.listen(1)
+        try:
+            with pytest.raises(OSError, match="live daemon"):
+                reclaim_stale_socket(path)
+            assert os.path.exists(path)
+        finally:
+            server.close()
+
+    def test_non_socket_file_is_protected(self, tmp_path):
+        path = tmp_path / "not-a-socket"
+        path.write_text("precious data")
+        with pytest.raises(OSError, match="not a socket"):
+            reclaim_stale_socket(str(path))
+        assert path.read_text() == "precious data"
+
+    def test_daemon_reclaims_after_hard_kill(self, tmp_path):
+        """End to end: a stale file does not block the next daemon."""
+        path = str(tmp_path / "daemon.sock")
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.bind(path)
+        sock.close()  # simulate SIGKILL leftovers
+        daemon = SolverDaemon(
+            config=PortfolioConfig(schemes=("enhanced",)),
+            daemon_config=DaemonConfig(workers=1, shards=1),
+        )
+
+        async def bind_then_shutdown():
+            serve = asyncio.ensure_future(daemon.serve_unix(path))
+            await asyncio.sleep(0)
+            while not daemon._shutdown.is_set():
+                if os.path.exists(path):
+                    daemon._shutdown.set()
+                await asyncio.sleep(0.02)
+            await serve
+
+        thread = threading.Thread(
+            target=lambda: asyncio.run(bind_then_shutdown()), daemon=True
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
 
 
 class TestShutdownSemantics:

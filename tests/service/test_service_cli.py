@@ -1,16 +1,22 @@
 """End-to-end tests of ``python -m repro.service`` and the batch API."""
 
+import asyncio
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
+import repro
 from repro import __version__
 from repro.bench import build_benchmark, random_suite
 from repro.service.batch import run_batch
 from repro.service.cache import ResultCache
+from repro.service.daemon import DaemonConfig, SolverDaemon
 from repro.service.portfolio import PortfolioConfig
+from repro.service.stream import DaemonClient
 
 
 def _run_cli(*args: str) -> str:
@@ -86,6 +92,63 @@ class TestCli:
         )
         assert result.returncode != 0
         assert "unknown portfolio schemes" in result.stderr
+
+
+class TestConnect:
+    def test_socket_path_with_a_colon_serves_the_batch(self, tmp_path):
+        """``--connect`` takes a unix path, whatever characters it has:
+        ``d:1.sock`` relative to the working directory is a path, not
+        a host and port."""
+        path = str(tmp_path / "d:1.sock")
+        daemon = SolverDaemon(
+            config=PortfolioConfig(schemes=("enhanced",)),
+            daemon_config=DaemonConfig(workers=1, shards=1),
+        )
+        thread = threading.Thread(
+            target=lambda: asyncio.run(daemon.serve_unix(path)), daemon=True
+        )
+        thread.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while not os.path.exists(path):
+                assert time.monotonic() < deadline, "daemon never bound"
+                time.sleep(0.02)
+            src = os.path.dirname(os.path.dirname(repro.__file__))
+            result = subprocess.run(
+                [
+                    sys.executable, "-m", "repro.service",
+                    "--programs", "MxM", "--connect", "d:1.sock",
+                ],
+                capture_output=True,
+                text=True,
+                timeout=600,
+                cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        finally:
+            if os.path.exists(path):
+                with DaemonClient(path) as client:
+                    client.shutdown()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert result.returncode == 0, result.stderr
+        assert "cache=daemon d:1.sock" in result.stdout
+        assert "programs: 1" in result.stdout
+
+    def test_missing_socket_is_a_clean_error(self, tmp_path):
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.service",
+                "--programs", "MxM",
+                "--connect", str(tmp_path / "missing.sock"),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode != 0
+        assert "cannot connect to daemon" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestBatchApi:

@@ -7,15 +7,17 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import build_benchmark
 from repro.ir.parser import parse_program
+from repro.ir.program import Program
 from repro.layout.layout import column_major, row_major
-from repro.service.fingerprint import request_fingerprint
-from repro.service.routing import HashRing
 from repro.service.stream import (
     DaemonClient,
     ProtocolError,
+    connect_unix,
     decode_request,
     encode_response,
     error_response,
@@ -68,6 +70,72 @@ class TestProgramWire:
         wire["arrays"][0][1] = [-1, 4]  # non-positive extent
         with pytest.raises(ProtocolError):
             program_from_wire(wire)
+
+
+#: Any value ``json.loads`` can produce (``Infinity`` and ``NaN``
+#: included); object keys lean on the program wire's field names so
+#: the decoder gets past its first lookups.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(
+            ["name", "arrays", "nests", "loops", "body", "weight", "x"]
+        ),
+        children,
+        max_size=4,
+    ),
+    max_leaves=16,
+)
+
+
+def _value_paths(value, prefix=()):
+    """Every position in a JSON value, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _value_paths(child, prefix + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from _value_paths(child, prefix + (index,))
+
+
+def _decodes_or_refuses(data) -> None:
+    try:
+        program = program_from_wire(data)
+    except ProtocolError:
+        return
+    assert isinstance(program, Program)
+
+
+class TestProgramWireFuzz:
+    """The decoder half of a wire fuzz: ``program_from_wire`` returns a
+    ``Program`` or raises ``ProtocolError``, nothing else -- the daemon
+    answers any other exception as ``internal`` and logs an ERROR."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_JSON_VALUES)
+    def test_any_json_value(self, data):
+        _decodes_or_refuses(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(position=st.integers(min_value=0), value=_JSON_VALUES)
+    def test_valid_wire_with_one_value_replaced(self, position, value):
+        wire = program_to_wire(parse_program(FIGURE2))
+        paths = list(_value_paths(wire))
+        path = paths[position % len(paths)]
+        if not path:
+            _decodes_or_refuses(value)
+            return
+        parent = wire
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        _decodes_or_refuses(wire)
 
 
 class TestLayoutsWire:
@@ -132,18 +200,13 @@ class TestClientIdAssignment:
 
         def __init__(self):
             self._next_id = 0
-            self._ring = None
-            self._addresses = ["fake"]
             self.sent: list[dict] = []
 
         def _take_id(self):
             self._next_id += 1
             return self._next_id
 
-        def _target_for(self, payload):
-            return self._addresses[0]
-
-        def _deliver(self, address, payloads):
+        def _deliver(self, payloads):
             self.sent.extend(payloads)
             return {p["id"]: {**p, "ok": True} for p in payloads}
 
@@ -244,48 +307,6 @@ class _FakeMember:
             os.unlink(self.path)
 
 
-class TestClientSideRouting:
-    def test_multi_address_client_picks_the_owner(self, tmp_path):
-        members = [_FakeMember(tmp_path, f"m{i}") for i in range(3)]
-        addresses = [m.path for m in members]
-        program = parse_program(FIGURE2, name="program")
-        with DaemonClient(addresses) as client:
-            fingerprint = request_fingerprint(program, client._options)
-            owner = HashRing(addresses).owner(fingerprint)
-            response = client.request(solve_request(program))
-            assert response["ok"]
-        owner_member = next(m for m in members if m.path == owner)
-        assert any(p.get("kind") == "solve" for p in owner_member.served)
-        for member in members:
-            member.close()
-
-    def test_client_fails_over_through_the_ring(self, tmp_path):
-        members = [_FakeMember(tmp_path, f"m{i}") for i in range(3)]
-        addresses = [m.path for m in members]
-        program = parse_program(FIGURE2, name="program")
-        with DaemonClient(addresses) as client:
-            fingerprint = request_fingerprint(program, client._options)
-            owner = HashRing(addresses).owner(fingerprint)
-            next(m for m in members if m.path == owner).close()
-            response = client.request(solve_request(program))
-            assert response["ok"]
-            served_by = response["result"]["member"]
-            assert served_by != owner
-            assert served_by in addresses
-        for member in members:
-            member.close()
-
-    def test_control_requests_go_to_the_primary(self, tmp_path):
-        members = [_FakeMember(tmp_path, f"m{i}") for i in range(2)]
-        addresses = [m.path for m in members]
-        with DaemonClient(addresses) as client:
-            assert client.ping()["ok"]
-        assert any(p.get("kind") == "ping" for p in members[0].served)
-        assert not members[1].served
-        for member in members:
-            member.close()
-
-
 class TestClientTransientErrorHardening:
     def test_reconnect_and_resend_mid_batch(self, tmp_path):
         """The daemon dies after the first response of a pipelined
@@ -299,15 +320,6 @@ class TestClientTransientErrorHardening:
         assert member.connections >= 2  # at least one reconnect happened
         member.close()
 
-    def test_retry_disabled_raises_to_the_caller(self, tmp_path):
-        member = _FakeMember(tmp_path, "flaky", die_after=1)
-        with DaemonClient(member.path, retry=False) as client:
-            with pytest.raises(ConnectionError):
-                client.request_many(
-                    [{"kind": "ping"}, {"kind": "ping"}, {"kind": "ping"}]
-                )
-        member.close()
-
     def test_dead_daemon_still_raises(self, tmp_path):
         member = _FakeMember(tmp_path, "gone")
         client = DaemonClient(member.path)
@@ -315,3 +327,33 @@ class TestClientTransientErrorHardening:
         with pytest.raises(ConnectionError):
             client.request_many([{"kind": "ping"}, {"kind": "ping"}])
         client.close()
+
+
+def test_connect_unix_round_trip(tmp_path):
+    """connect_unix speaks to a listening unix socket."""
+    path = str(tmp_path / "echo.sock")
+    server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    server.bind(path)
+    server.listen(1)
+    try:
+        client = connect_unix(path, timeout=5.0)
+        client.close()
+    finally:
+        server.close()
+
+
+def test_failed_unix_connect_closes_its_socket(tmp_path, monkeypatch):
+    """A connect to a missing path raises and leaves no open socket
+    behind for the garbage collector."""
+    opened = []
+
+    class _Recording(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(socket, "socket", _Recording)
+    with pytest.raises(OSError):
+        connect_unix(str(tmp_path / "missing.sock"), timeout=1.0)
+    assert len(opened) == 1
+    assert opened[0].fileno() == -1
