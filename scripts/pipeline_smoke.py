@@ -109,10 +109,8 @@ def _table3_cycles() -> dict:
     for name in BENCHMARK_NAMES:
         program = build_benchmark(name)
         network = build_layout_network(program, options).network
-        solution = EnhancedSolver(seed=TABLE3_SEED).solve(network)
-        assignment = dict(solution.assignment)
-        repair_inflation(network, assignment, program)
-        enhanced = dict(assignment)
+        enhanced = dict(EnhancedSolver(seed=TABLE3_SEED).solve(network).assignment)
+        repair_inflation(network, enhanced, program)
         for decl in program.arrays:
             enhanced.setdefault(decl.name, row_major(decl.rank))
         heuristic = HeuristicOptimizer(
