@@ -41,7 +41,7 @@ def test_network_construction(benchmark, name, programs):
         len(result.network.constraints),
     ]
     # Data size must track the paper closely; domain size is expected
-    # to land in the same regime (see EXPERIMENTS.md).
+    # to land in the same regime (test_print_table1 prints both).
     assert measured_kb == pytest.approx(paper_kb, rel=0.05)
     assert result.domain_size > 0
 

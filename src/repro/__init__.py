@@ -27,111 +27,63 @@ For production-style serving -- many programs, solver portfolio
 ladders, result caching -- see :mod:`repro.service` and the batch
 CLI ``python -m repro.service`` (README.md has a walkthrough).
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-paper-versus-measured comparison.
+README.md's "Layout of the repository" lists every subpackage, and
+``scripts/pipeline_expectations.json`` pins the reproduced Table 1 layouts
+and Table 3 cycles.  The names below are re-exported lazily: ``import
+repro`` imports only the subpackages whose names the caller looks up.
 """
 
-#: Package version; surfaced by ``python -m repro.service --version``.
-#: Defined before the subpackage imports below: the service daemon
-#: reports it in its hello and imports it mid-package-init.
+#: Package version; surfaced by ``python -m repro.service --version`` and
+#: the daemon's hello.  A literal, so setuptools reads it without
+#: importing the package.
 __version__ = "1.10.0"
 
-from repro.ir import (
-    AffineExpr,
-    ArrayDecl,
-    ArrayRef,
-    AccessKind,
-    Loop,
-    LoopNest,
-    Program,
-    parse_program,
-)
-from repro.layout import (
-    Hyperplane,
-    Layout,
-    LayoutMapping,
-    row_major,
-    column_major,
-    diagonal,
-    antidiagonal,
-)
-from repro.csp import (
-    ConstraintNetwork,
-    BacktrackingSolver,
-    EnhancedSolver,
-    EnhancementConfig,
-)
-from repro.opt import (
-    BuildOptions,
-    LayoutOptimizer,
-    HeuristicOptimizer,
-    DynamicLayoutPlanner,
-    build_layout_network,
-    select_transforms,
-)
-from repro.simul import simulate_program
-from repro.cachesim import HierarchyConfig, paper_hierarchy
-from repro.eval import (
-    Cost,
-    CostModel,
-    available_cost_models,
-    get_cost_model,
-    register_cost_model,
-)
-from repro.service import (
-    EvaluationRequest,
-    EvaluationService,
-    PortfolioConfig,
-    PortfolioSolver,
-    ResultCache,
-    ShardedResultCache,
-    SolverDaemon,
-    run_batch,
-    run_evaluation_batch,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AffineExpr",
-    "ArrayDecl",
-    "ArrayRef",
-    "AccessKind",
-    "Loop",
-    "LoopNest",
-    "Program",
-    "parse_program",
-    "Hyperplane",
-    "Layout",
-    "LayoutMapping",
-    "row_major",
-    "column_major",
-    "diagonal",
-    "antidiagonal",
-    "ConstraintNetwork",
-    "BacktrackingSolver",
-    "EnhancedSolver",
-    "EnhancementConfig",
-    "BuildOptions",
-    "LayoutOptimizer",
-    "HeuristicOptimizer",
-    "DynamicLayoutPlanner",
-    "build_layout_network",
-    "select_transforms",
-    "simulate_program",
-    "HierarchyConfig",
-    "paper_hierarchy",
-    "Cost",
-    "CostModel",
-    "available_cost_models",
-    "get_cost_model",
-    "register_cost_model",
-    "EvaluationRequest",
-    "EvaluationService",
-    "PortfolioConfig",
-    "PortfolioSolver",
-    "ResultCache",
-    "ShardedResultCache",
-    "SolverDaemon",
-    "run_batch",
-    "run_evaluation_batch",
-    "__version__",
-]
+_EXPORTS = {
+    "AffineExpr": ".ir",
+    "ArrayDecl": ".ir",
+    "ArrayRef": ".ir",
+    "AccessKind": ".ir",
+    "Loop": ".ir",
+    "LoopNest": ".ir",
+    "Program": ".ir",
+    "parse_program": ".ir",
+    "Hyperplane": ".layout",
+    "Layout": ".layout",
+    "LayoutMapping": ".layout",
+    "row_major": ".layout",
+    "column_major": ".layout",
+    "diagonal": ".layout",
+    "antidiagonal": ".layout",
+    "ConstraintNetwork": ".csp",
+    "BacktrackingSolver": ".csp",
+    "EnhancedSolver": ".csp",
+    "EnhancementConfig": ".csp",
+    "BuildOptions": ".opt",
+    "LayoutOptimizer": ".opt",
+    "HeuristicOptimizer": ".opt",
+    "DynamicLayoutPlanner": ".opt",
+    "build_layout_network": ".opt",
+    "select_transforms": ".opt",
+    "simulate_program": ".simul",
+    "HierarchyConfig": ".cachesim",
+    "paper_hierarchy": ".cachesim",
+    "Cost": ".eval",
+    "CostModel": ".eval",
+    "available_cost_models": ".eval",
+    "get_cost_model": ".eval",
+    "register_cost_model": ".eval",
+    "EvaluationRequest": ".service",
+    "EvaluationService": ".service",
+    "PortfolioConfig": ".service",
+    "PortfolioSolver": ".service",
+    "ResultCache": ".service",
+    "ShardedResultCache": ".service",
+    "SolverDaemon": ".service",
+    "run_batch": ".service",
+    "run_evaluation_batch": ".service",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

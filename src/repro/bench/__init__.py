@@ -3,28 +3,24 @@
 The original five embedded codes (Med-Im04, MxM, Radar, Shape, Track)
 are proprietary; we rebuild each as a synthetic program matched to the
 published characteristics -- total data size, constraint-network domain
-size, and the access-pattern mix typical of the domain (see DESIGN.md,
-"Substitutions").  ``MxM`` is the exception: triple matrix
+size, and the access-pattern mix typical of the domain (see
+:mod:`repro.bench.programs`).  ``MxM`` is the exception: triple matrix
 multiplication is fully specified by its name and is written out
 directly.
 """
 
-from repro.bench.generator import SyntheticSpec, generate_program, PATTERNS
-from repro.bench.programs import (
-    BENCHMARK_NAMES,
-    TABLE1_REFERENCE,
-    build_benchmark,
-    benchmark_build_options,
-    random_suite,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SyntheticSpec",
-    "generate_program",
-    "PATTERNS",
-    "BENCHMARK_NAMES",
-    "TABLE1_REFERENCE",
-    "build_benchmark",
-    "benchmark_build_options",
-    "random_suite",
-]
+_EXPORTS = {
+    "SyntheticSpec": ".generator",
+    "generate_program": ".generator",
+    "PATTERNS": ".generator",
+    "BENCHMARK_NAMES": ".programs",
+    "TABLE1_REFERENCE": ".programs",
+    "build_benchmark": ".programs",
+    "benchmark_build_options": ".programs",
+    "random_suite": ".programs",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

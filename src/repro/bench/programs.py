@@ -2,9 +2,11 @@
 
 ``MxM`` (triple matrix multiplication) is written out explicitly; the
 other four are synthetic programs generated to match the published data
-size and to land near the published constraint-network domain size (see
-DESIGN.md, "Substitutions").  All generation is deterministic; the
-exact measured characteristics are recorded in EXPERIMENTS.md.
+size and to land near the published constraint-network domain size.
+All generation is deterministic; ``benchmarks/bench_table1_properties.py``
+prints the measured characteristics beside the paper's, and
+``scripts/pipeline_expectations.json`` pins each program's layouts and
+Table 3 cycles.
 
 The paper's numbers, for reference::
 

@@ -11,18 +11,18 @@ timing model.  Relative execution times under different memory layouts
 dominated by data-cache hit/miss behaviour on the reference stream.
 """
 
-from repro.cachesim.cache import Cache, ReplacementPolicy
-from repro.cachesim.hierarchy import MemoryHierarchy, HierarchyConfig, paper_hierarchy
-from repro.cachesim.cpu import DualIssueCPU, CPUConfig
-from repro.cachesim.stats import CacheStats
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Cache",
-    "ReplacementPolicy",
-    "MemoryHierarchy",
-    "HierarchyConfig",
-    "paper_hierarchy",
-    "DualIssueCPU",
-    "CPUConfig",
-    "CacheStats",
-]
+_EXPORTS = {
+    "Cache": ".cache",
+    "ReplacementPolicy": ".cache",
+    "MemoryHierarchy": ".hierarchy",
+    "HierarchyConfig": ".hierarchy",
+    "paper_hierarchy": ".hierarchy",
+    "DualIssueCPU": ".cpu",
+    "CPUConfig": ".cpu",
+    "CacheStats": ".stats",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

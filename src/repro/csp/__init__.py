@@ -33,42 +33,30 @@
   scaling studies.
 """
 
-from repro.csp.network import BinaryConstraint, ConstraintNetwork
-from repro.csp.compiled import CompiledNetwork, compile_network
-from repro.csp.vectorized import (
-    batch_min_conflicts,
-    native_available,
-    resolve_engine,
-)
-from repro.csp.stats import SolverStats, SolverResult
-from repro.csp.backtracking import BacktrackingSolver
-from repro.csp.enhanced import EnhancedSolver, EnhancementConfig
-from repro.csp.backjumping import ConflictDirectedSolver
-from repro.csp.forward_checking import ForwardCheckingSolver
-from repro.csp.arc_consistency import ac3, ArcConsistencyResult
-from repro.csp.minconflicts import MinConflictsSolver
-from repro.csp.weighted import WeightedNetwork, BranchAndBoundSolver
-from repro.csp.random_networks import random_network
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BinaryConstraint",
-    "ConstraintNetwork",
-    "CompiledNetwork",
-    "compile_network",
-    "batch_min_conflicts",
-    "native_available",
-    "resolve_engine",
-    "SolverStats",
-    "SolverResult",
-    "BacktrackingSolver",
-    "EnhancedSolver",
-    "EnhancementConfig",
-    "ConflictDirectedSolver",
-    "ForwardCheckingSolver",
-    "ac3",
-    "ArcConsistencyResult",
-    "MinConflictsSolver",
-    "WeightedNetwork",
-    "BranchAndBoundSolver",
-    "random_network",
-]
+_EXPORTS = {
+    "BinaryConstraint": ".network",
+    "ConstraintNetwork": ".network",
+    "CompiledNetwork": ".compiled",
+    "compile_network": ".compiled",
+    "batch_min_conflicts": ".vectorized",
+    "native_available": ".vectorized",
+    "resolve_engine": ".vectorized",
+    "SolverStats": ".stats",
+    "SolverResult": ".stats",
+    "BacktrackingSolver": ".backtracking",
+    "EnhancedSolver": ".enhanced",
+    "EnhancementConfig": ".enhanced",
+    "ConflictDirectedSolver": ".backjumping",
+    "ForwardCheckingSolver": ".forward_checking",
+    "ac3": ".arc_consistency",
+    "ArcConsistencyResult": ".arc_consistency",
+    "MinConflictsSolver": ".minconflicts",
+    "WeightedNetwork": ".weighted",
+    "BranchAndBoundSolver": ".weighted",
+    "random_network": ".random_networks",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -14,9 +14,6 @@ choice per network):
 * ``native``: the whole walk as one C loop (:mod:`repro.csp.native`),
   with a C replica of CPython's MT19937 -- same RNG stream, same
   effort counters, same walk, no interpreter cycles per step.
-
-:meth:`MinConflictsSolver.solve_batch` runs one chain per seed through
-the shared kernel (see :func:`repro.csp.vectorized.batch_min_conflicts`).
 """
 
 from __future__ import annotations
@@ -112,25 +109,6 @@ class MinConflictsSolver:
                     break  # aborted walk, not an exhausted restart
                 stats.restarts += 1
         return SolverResult(None, stats, complete=False)
-
-    def solve_batch(
-        self,
-        network: ConstraintNetwork | CompiledNetwork,
-        seeds,
-    ) -> list[SolverResult]:
-        """One independent chain per seed, sharing this solver's budgets.
-
-        Chain ``k`` is byte-identical to
-        ``MinConflictsSolver(seed=seeds[k], ...).solve(network)`` (see
-        :func:`repro.csp.vectorized.batch_min_conflicts`).
-        """
-        return batch_min_conflicts(
-            network,
-            seeds,
-            max_steps=self._max_steps,
-            max_restarts=self._max_restarts,
-            engine=self._engine,
-        )
 
     def _improve(
         self,

@@ -26,9 +26,6 @@ import ctypes
 import hashlib
 import logging
 import os
-import shutil
-import subprocess
-import tempfile
 import time
 from pathlib import Path
 
@@ -82,6 +79,8 @@ def cache_dir() -> Path:
 
 def find_compiler() -> str | None:
     """The C compiler to use, or None when the host has none."""
+    import shutil
+
     cc = os.environ.get(CC_ENV, "").strip()
     if cc:
         resolved = shutil.which(cc)
@@ -109,6 +108,9 @@ def library_path() -> Path:
 
 
 def _compile(target: Path) -> None:
+    import subprocess
+    import tempfile
+
     cc = find_compiler()
     if cc is None:
         raise RuntimeError(

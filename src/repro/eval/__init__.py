@@ -20,27 +20,20 @@ them empirically.  The service's ``evaluate`` request kind serves the
 same models remotely with per-request hierarchy overrides.
 """
 
-from repro.eval.agreement import kendall_tau, rank_positions
-from repro.eval.analytic import AnalyticCostModel
-from repro.eval.cost import (
-    Cost,
-    CostModel,
-    available_cost_models,
-    get_cost_model,
-    register_cost_model,
-)
-from repro.eval.simulated import SimulatedCostModel
-from repro.eval.weighted import WeightedCostModel
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Cost",
-    "CostModel",
-    "available_cost_models",
-    "get_cost_model",
-    "register_cost_model",
-    "AnalyticCostModel",
-    "WeightedCostModel",
-    "SimulatedCostModel",
-    "kendall_tau",
-    "rank_positions",
-]
+_EXPORTS = {
+    "Cost": ".cost",
+    "CostModel": ".cost",
+    "available_cost_models": ".cost",
+    "get_cost_model": ".cost",
+    "register_cost_model": ".cost",
+    "AnalyticCostModel": ".analytic",
+    "WeightedCostModel": ".weighted",
+    "SimulatedCostModel": ".simulated",
+    "kendall_tau": ".agreement",
+    "rank_positions": ".agreement",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

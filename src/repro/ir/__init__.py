@@ -16,32 +16,24 @@ subscript functions ``F(I) = A I + b``.  This subpackage provides:
 * :mod:`repro.ir.validate` -- semantic well-formedness checks.
 """
 
-from repro.ir.expr import AffineExpr
-from repro.ir.arrays import ArrayDecl
-from repro.ir.reference import ArrayRef, AccessKind
-from repro.ir.loops import Loop, LoopNest
-from repro.ir.program import Program
-from repro.ir.parser import parse_program, ParseError
-from repro.ir.dependence import (
-    DependenceInfo,
-    Dependence,
-    analyze_nest_dependences,
-)
-from repro.ir.validate import validate_program, ValidationError
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AffineExpr",
-    "ArrayDecl",
-    "ArrayRef",
-    "AccessKind",
-    "Loop",
-    "LoopNest",
-    "Program",
-    "parse_program",
-    "ParseError",
-    "DependenceInfo",
-    "Dependence",
-    "analyze_nest_dependences",
-    "validate_program",
-    "ValidationError",
-]
+_EXPORTS = {
+    "AffineExpr": ".expr",
+    "ArrayDecl": ".arrays",
+    "ArrayRef": ".reference",
+    "AccessKind": ".reference",
+    "Loop": ".loops",
+    "LoopNest": ".loops",
+    "Program": ".program",
+    "parse_program": ".parser",
+    "ParseError": ".parser",
+    "DependenceInfo": ".dependence",
+    "Dependence": ".dependence",
+    "analyze_nest_dependences": ".dependence",
+    "validate_program": ".validate",
+    "ValidationError": ".validate",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -17,44 +17,26 @@ products.  This subpackage provides:
   enumeration for each array under candidate loop restructurings.
 """
 
-from repro.layout.hyperplane import Hyperplane
-from repro.layout.layout import (
-    Layout,
-    row_major,
-    column_major,
-    diagonal,
-    antidiagonal,
-    standard_layouts,
-)
-from repro.layout.mapping import LayoutMapping
-from repro.layout.locality import (
-    access_delta,
-    layout_for_deltas,
-    preferred_layout,
-    has_spatial_locality,
-    has_temporal_locality,
-)
-from repro.layout.candidates import (
-    nest_layout_combos,
-    candidate_layouts_for_array,
-    LayoutCombo,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Hyperplane",
-    "Layout",
-    "row_major",
-    "column_major",
-    "diagonal",
-    "antidiagonal",
-    "standard_layouts",
-    "LayoutMapping",
-    "access_delta",
-    "layout_for_deltas",
-    "preferred_layout",
-    "has_spatial_locality",
-    "has_temporal_locality",
-    "nest_layout_combos",
-    "candidate_layouts_for_array",
-    "LayoutCombo",
-]
+_EXPORTS = {
+    "Hyperplane": ".hyperplane",
+    "Layout": ".layout",
+    "row_major": ".layout",
+    "column_major": ".layout",
+    "diagonal": ".layout",
+    "antidiagonal": ".layout",
+    "standard_layouts": ".layout",
+    "LayoutMapping": ".mapping",
+    "access_delta": ".locality",
+    "layout_for_deltas": ".locality",
+    "preferred_layout": ".locality",
+    "has_spatial_locality": ".locality",
+    "has_temporal_locality": ".locality",
+    "nest_layout_combos": ".candidates",
+    "candidate_layouts_for_array": ".candidates",
+    "LayoutCombo": ".candidates",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -17,64 +17,37 @@ arithmetic over Python integers and :class:`fractions.Fraction`:
   integer boxes (used to compute transformed-array extents).
 """
 
-from repro.linalg.vectors import (
-    gcd_many,
-    is_zero_vector,
-    normalize_primitive,
-    canonical_hyperplane_vector,
-    dot,
-    vec_add,
-    vec_sub,
-    vec_scale,
-    lex_positive,
-)
-from repro.linalg.matrices import (
-    identity_matrix,
-    mat_mul,
-    mat_vec,
-    mat_transpose,
-    determinant,
-    rank,
-    inverse_rational,
-    inverse_integer,
-    is_unimodular,
-    mat_equal,
-    copy_matrix,
-)
-from repro.linalg.nullspace import nullspace_basis, left_nullspace_basis
-from repro.linalg.unimodular import (
-    hermite_normal_form,
-    complete_to_nonsingular,
-    complete_to_unimodular,
-)
-from repro.linalg.boxes import affine_range_over_box, box_corners
+from repro._exports import lazy_exports
 
-__all__ = [
-    "gcd_many",
-    "is_zero_vector",
-    "normalize_primitive",
-    "canonical_hyperplane_vector",
-    "dot",
-    "vec_add",
-    "vec_sub",
-    "vec_scale",
-    "lex_positive",
-    "identity_matrix",
-    "mat_mul",
-    "mat_vec",
-    "mat_transpose",
-    "determinant",
-    "rank",
-    "inverse_rational",
-    "inverse_integer",
-    "is_unimodular",
-    "mat_equal",
-    "copy_matrix",
-    "nullspace_basis",
-    "left_nullspace_basis",
-    "hermite_normal_form",
-    "complete_to_nonsingular",
-    "complete_to_unimodular",
-    "affine_range_over_box",
-    "box_corners",
-]
+_EXPORTS = {
+    "gcd_many": ".vectors",
+    "is_zero_vector": ".vectors",
+    "normalize_primitive": ".vectors",
+    "canonical_hyperplane_vector": ".vectors",
+    "dot": ".vectors",
+    "vec_add": ".vectors",
+    "vec_sub": ".vectors",
+    "vec_scale": ".vectors",
+    "lex_positive": ".vectors",
+    "identity_matrix": ".matrices",
+    "mat_mul": ".matrices",
+    "mat_vec": ".matrices",
+    "mat_transpose": ".matrices",
+    "determinant": ".matrices",
+    "rank": ".matrices",
+    "inverse_rational": ".matrices",
+    "inverse_integer": ".matrices",
+    "is_unimodular": ".matrices",
+    "mat_equal": ".matrices",
+    "copy_matrix": ".matrices",
+    "nullspace_basis": ".nullspace",
+    "left_nullspace_basis": ".nullspace",
+    "hermite_normal_form": ".unimodular",
+    "complete_to_nonsingular": ".unimodular",
+    "complete_to_unimodular": ".unimodular",
+    "affine_range_over_box": ".boxes",
+    "box_corners": ".boxes",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

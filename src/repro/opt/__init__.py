@@ -11,66 +11,37 @@ baseline and the dynamic-layout planner (the paper's second future-work
 direction).
 """
 
-from repro.opt.network_builder import (
-    BuildOptions,
-    LayoutNetwork,
-    build_layout_network,
-)
-from repro.opt.optimizer import (
-    CandidateScore,
-    LayoutOptimizer,
-    OptimizationOutcome,
-    RefinementReport,
-    select_transforms,
-    repair_inflation,
-    shared_optimizer,
-)
-from repro.opt.heuristic import HeuristicOptimizer
-from repro.opt.dynamic import DynamicLayoutPlanner, DynamicPlan
-from repro.opt.report import format_table, optimization_report
-from repro.opt.passes import (
-    BuildNetworkPass,
-    DynamicLayoutPass,
-    JointSearchPass,
-    Pass,
-    Pipeline,
-    PipelineContext,
-    PipelineError,
-    RefinementPass,
-    RepairInflationPass,
-    SolvePass,
-    TransformSelectionPass,
-    available_passes,
-    register_pass,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BuildOptions",
-    "LayoutNetwork",
-    "build_layout_network",
-    "CandidateScore",
-    "LayoutOptimizer",
-    "OptimizationOutcome",
-    "RefinementReport",
-    "select_transforms",
-    "repair_inflation",
-    "shared_optimizer",
-    "HeuristicOptimizer",
-    "DynamicLayoutPlanner",
-    "DynamicPlan",
-    "format_table",
-    "optimization_report",
-    "Pass",
-    "Pipeline",
-    "PipelineContext",
-    "PipelineError",
-    "BuildNetworkPass",
-    "SolvePass",
-    "RepairInflationPass",
-    "TransformSelectionPass",
-    "RefinementPass",
-    "JointSearchPass",
-    "DynamicLayoutPass",
-    "available_passes",
-    "register_pass",
-]
+_EXPORTS = {
+    "BuildOptions": ".network_builder",
+    "LayoutNetwork": ".network_builder",
+    "build_layout_network": ".network_builder",
+    "CandidateScore": ".optimizer",
+    "LayoutOptimizer": ".optimizer",
+    "OptimizationOutcome": ".optimizer",
+    "RefinementReport": ".optimizer",
+    "select_transforms": ".optimizer",
+    "repair_inflation": ".optimizer",
+    "HeuristicOptimizer": ".heuristic",
+    "DynamicLayoutPlanner": ".dynamic",
+    "DynamicPlan": ".dynamic",
+    "format_table": ".report",
+    "optimization_report": ".report",
+    "Pass": ".passes",
+    "Pipeline": ".passes",
+    "PipelineContext": ".passes",
+    "PipelineError": ".passes",
+    "BuildNetworkPass": ".passes",
+    "SolvePass": ".passes",
+    "RepairInflationPass": ".passes",
+    "TransformSelectionPass": ".passes",
+    "RefinementPass": ".passes",
+    "JointSearchPass": ".passes",
+    "DynamicLayoutPass": ".passes",
+    "available_passes": ".passes",
+    "register_pass": ".passes",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -31,10 +31,10 @@ searches layouts and transforms together instead.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 
+from repro._exports import lazy_exports
 from repro.csp.enhanced import EnhancedSolver, EnhancementConfig
 from repro.csp.stats import SolverStats
 from repro.ir.program import Program
@@ -49,12 +49,20 @@ from repro.opt.passes import (
 
 # Historical homes: the repair fixpoint, transform selection and
 # refinement report types grew up in this module; downstream callers
-# import them from here.
-from repro.opt.passes.refine import CandidateScore, RefinementReport  # noqa: F401
+# import them from here.  The refinement types load on first use, like
+# the refine pass itself.
 from repro.opt.passes.solve import repair_inflation  # noqa: F401
 from repro.opt.passes.transforms import (  # noqa: F401
     _select_transforms,
     select_transforms,
+)
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "CandidateScore": "repro.opt.passes.refine",
+        "RefinementReport": "repro.opt.passes.refine",
+    },
 )
 
 
@@ -276,52 +284,6 @@ class LayoutOptimizer:
             pass_seconds=dict(ctx.pass_seconds),
             ladder=ctx.ladder,
         )
-
-
-#: Bounded LRU pool of shared optimizer instances, keyed by
-#: configuration; hits refresh recency so the hottest configurations
-#: survive eviction.
-_SHARED_OPTIMIZERS: OrderedDict[tuple, LayoutOptimizer] = OrderedDict()
-_SHARED_OPTIMIZERS_CAP = 32
-
-
-def shared_optimizer(
-    scheme="enhanced",
-    seed: int = 0,
-    options: BuildOptions | None = None,
-    refine=None,
-    refine_top_k: int = 8,
-) -> LayoutOptimizer:
-    """A process-shared, reusable :class:`LayoutOptimizer`.
-
-    Resident services serve many requests per process; constructing a
-    fresh optimizer per request rebuilds the same ladder and pipeline
-    every time.  This factory memoizes instances by their
-    full configuration (an optimizer is stateless between ``optimize``
-    calls, so sharing is safe within one thread of control) and keeps
-    the pool bounded with least-recently-used eviction.  Configured
-    model instances (``refine`` given as a
-    :class:`~repro.eval.CostModel`) are not memoizable -- those
-    callers get a fresh optimizer.
-    """
-    if refine is not None and not isinstance(refine, str):
-        return LayoutOptimizer(
-            scheme=scheme, seed=seed, options=options,
-            refine=refine, refine_top_k=refine_top_k,
-        )
-    key = (repr(scheme), seed, repr(options), refine, refine_top_k)
-    optimizer = _SHARED_OPTIMIZERS.get(key)
-    if optimizer is None:
-        optimizer = LayoutOptimizer(
-            scheme=scheme, seed=seed, options=options,
-            refine=refine, refine_top_k=refine_top_k,
-        )
-        if len(_SHARED_OPTIMIZERS) >= _SHARED_OPTIMIZERS_CAP:
-            _SHARED_OPTIMIZERS.popitem(last=False)
-        _SHARED_OPTIMIZERS[key] = optimizer
-    else:
-        _SHARED_OPTIMIZERS.move_to_end(key)
-    return optimizer
 
 
 def _as_portfolio_config(scheme, seed: int) -> PortfolioConfig | None:

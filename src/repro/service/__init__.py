@@ -31,55 +31,34 @@ scheme; this package turns it into a serving stack:
   daemon).
 """
 
-from repro.service.batch import BatchReport, run_batch
-from repro.service.cache import CacheStats, ResultCache, ShardedResultCache
-from repro.service.daemon import DaemonConfig, SolverDaemon
-from repro.service.evaluate import (
-    EvaluationRequest,
-    EvaluationResult,
-    EvaluationService,
-    parse_hierarchy_overrides,
-    run_evaluation_batch,
-)
-from repro.service.fingerprint import (
-    canonical_value_token,
-    network_fingerprint,
-    program_fingerprint,
-    request_fingerprint,
-)
-from repro.service.portfolio import (
-    DEFAULT_SCHEMES,
-    PortfolioConfig,
-    PortfolioResult,
-    PortfolioSolver,
-    SchemeOutcome,
-    known_schemes,
-)
-from repro.service.stream import DaemonClient, ProtocolError
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BatchReport",
-    "run_batch",
-    "CacheStats",
-    "ResultCache",
-    "ShardedResultCache",
-    "DaemonConfig",
-    "SolverDaemon",
-    "DaemonClient",
-    "ProtocolError",
-    "EvaluationRequest",
-    "EvaluationResult",
-    "EvaluationService",
-    "parse_hierarchy_overrides",
-    "run_evaluation_batch",
-    "canonical_value_token",
-    "network_fingerprint",
-    "program_fingerprint",
-    "request_fingerprint",
-    "DEFAULT_SCHEMES",
-    "PortfolioConfig",
-    "PortfolioResult",
-    "PortfolioSolver",
-    "SchemeOutcome",
-    "known_schemes",
-]
+_EXPORTS = {
+    "BatchReport": ".batch",
+    "run_batch": ".batch",
+    "CacheStats": ".cache",
+    "ResultCache": ".cache",
+    "ShardedResultCache": ".cache",
+    "DaemonConfig": ".daemon",
+    "SolverDaemon": ".daemon",
+    "DaemonClient": ".stream",
+    "ProtocolError": ".stream",
+    "EvaluationRequest": ".evaluate",
+    "EvaluationResult": ".evaluate",
+    "EvaluationService": ".evaluate",
+    "parse_hierarchy_overrides": ".evaluate",
+    "run_evaluation_batch": ".evaluate",
+    "canonical_value_token": ".fingerprint",
+    "network_fingerprint": ".fingerprint",
+    "program_fingerprint": ".fingerprint",
+    "request_fingerprint": ".fingerprint",
+    "DEFAULT_SCHEMES": ".portfolio",
+    "PortfolioConfig": ".portfolio",
+    "PortfolioResult": ".portfolio",
+    "PortfolioSolver": ".portfolio",
+    "SchemeOutcome": ".portfolio",
+    "known_schemes": ".portfolio",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -22,6 +22,10 @@ from typing import Mapping, Sequence
 
 from repro.cachesim.hierarchy import HierarchyConfig
 from repro.eval import get_cost_model
+
+# The built-in cost models load with this module, before a daemon or
+# batch pool forks, so a worker's first evaluate pays no import.
+from repro.eval import analytic, simulated, weighted  # noqa: F401
 from repro.ir.program import Program
 from repro.layout.layout import Layout
 from repro.obs import metrics as obs_metrics
@@ -112,8 +116,10 @@ class EvaluationRequest:
             simulated model (None = exact).
 
     Raises:
-        ValueError: for a non-positive sampling cap, or a hierarchy
-            override on a model that cannot honor it.
+        ValueError: for a non-positive sampling cap, a hierarchy
+            override on a model that cannot honor it, or explicit
+            layouts that do not give each of the program's arrays
+            exactly one layout of the array's rank.
     """
 
     program: Program
@@ -136,6 +142,8 @@ class EvaluationRequest:
                 f"cost model {self.cost_model!r} does not use a cache "
                 "hierarchy; drop the hierarchy override"
             )
+        if self.layouts is not None:
+            _check_layouts(self.program, self.layouts)
 
     @property
     def uses_hierarchy(self) -> bool:
@@ -163,6 +171,24 @@ class EvaluationRequest:
             f"evaluate[{self.cost_model}]{hierarchy_token}"
             f"cap={cap}layouts[{layouts_token}]"
         )
+
+
+def _check_layouts(program: Program, layouts: Mapping[str, Layout]) -> None:
+    """Raise ``ValueError`` unless ``layouts`` maps exactly the
+    program's arrays, each to a layout of the array's rank."""
+    ranks = {decl.name: decl.rank for decl in program.arrays}
+    missing = sorted(ranks.keys() - layouts.keys())
+    if missing:
+        raise ValueError(f"layouts miss array(s) {', '.join(missing)}")
+    unknown = sorted(layouts.keys() - ranks.keys())
+    if unknown:
+        raise ValueError(f"layouts name unknown array(s) {', '.join(unknown)}")
+    for name, layout in sorted(layouts.items()):
+        if layout.dimension != ranks[name]:
+            raise ValueError(
+                f"array {name} has rank {ranks[name]} but its layout has "
+                f"dimension {layout.dimension}"
+            )
 
 
 @dataclass

@@ -7,28 +7,19 @@ address via the layout's linear map, and feeds the resulting stream
 through the modelled hierarchy and CPU.
 """
 
-from repro.simul.addressmap import AddressMap
-from repro.simul.tracegen import (
-    compile_nest_accesses,
-    CompiledAccess,
-    IncrementalAddress,
-    NestAccessPlan,
-)
-from repro.simul.executor import (
-    ENGINES,
-    resolve_engine,
-    simulate_program,
-    SimulationResult,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AddressMap",
-    "compile_nest_accesses",
-    "CompiledAccess",
-    "IncrementalAddress",
-    "NestAccessPlan",
-    "ENGINES",
-    "resolve_engine",
-    "simulate_program",
-    "SimulationResult",
-]
+_EXPORTS = {
+    "AddressMap": ".addressmap",
+    "compile_nest_accesses": ".tracegen",
+    "CompiledAccess": ".tracegen",
+    "IncrementalAddress": ".tracegen",
+    "NestAccessPlan": ".tracegen",
+    "ENGINES": ".executor",
+    "resolve_engine": ".executor",
+    "simulate_program": ".executor",
+    "SimulationResult": ".executor",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

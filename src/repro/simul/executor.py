@@ -35,6 +35,7 @@ from typing import Mapping
 from repro.cachesim.cpu import CPUConfig, DualIssueCPU
 from repro.cachesim.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.ir.program import Program
+from repro.ir.validate import validate_program
 from repro.layout.layout import Layout
 from repro.simul.addressmap import AddressMap
 from repro.simul import batchwalk
@@ -143,8 +144,6 @@ def simulate_program(
         raise ValueError("max_iterations_per_nest must be positive")
     engine = resolve_engine(engine)
     if validate:
-        from repro.ir.validate import validate_program
-
         validate_program(program)
     cpu_config = cpu_config if cpu_config is not None else CPUConfig()
     if hierarchy is not None:

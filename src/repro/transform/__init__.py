@@ -15,29 +15,22 @@ also picks a (transform, layouts) combination per nest.
   trace generator when a nest is restructured).
 """
 
-from repro.transform.unimodular_loop import (
-    LoopTransform,
-    identity_transform,
-    permutation_transform,
-    reversal_transform,
-    skew_transform,
-    compose,
-)
-from repro.transform.legality import is_legal, transformed_distances
-from repro.transform.catalog import candidate_transforms, legal_transforms
-from repro.transform.scanning import scan_transformed_box, fourier_motzkin_bounds
+from repro._exports import lazy_exports
 
-__all__ = [
-    "LoopTransform",
-    "identity_transform",
-    "permutation_transform",
-    "reversal_transform",
-    "skew_transform",
-    "compose",
-    "is_legal",
-    "transformed_distances",
-    "candidate_transforms",
-    "legal_transforms",
-    "scan_transformed_box",
-    "fourier_motzkin_bounds",
-]
+_EXPORTS = {
+    "LoopTransform": ".unimodular_loop",
+    "identity_transform": ".unimodular_loop",
+    "permutation_transform": ".unimodular_loop",
+    "reversal_transform": ".unimodular_loop",
+    "skew_transform": ".unimodular_loop",
+    "compose": ".unimodular_loop",
+    "is_legal": ".legality",
+    "transformed_distances": ".legality",
+    "candidate_transforms": ".catalog",
+    "legal_transforms": ".catalog",
+    "scan_transformed_box": ".scanning",
+    "fourier_motzkin_bounds": ".scanning",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,14 +1,15 @@
 """ASCII visualizations of the paper's illustrative figures."""
 
-from repro.viz.chart import ranking_agreement_chart, stacked_bar_chart
-from repro.viz.layout_art import render_layout_grid, layout_gallery
-from repro.viz.search_art import render_search_trace, TraceRecorder
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ranking_agreement_chart",
-    "stacked_bar_chart",
-    "render_layout_grid",
-    "layout_gallery",
-    "render_search_trace",
-    "TraceRecorder",
-]
+_EXPORTS = {
+    "ranking_agreement_chart": ".chart",
+    "stacked_bar_chart": ".chart",
+    "render_layout_grid": ".layout_art",
+    "layout_gallery": ".layout_art",
+    "render_search_trace": ".search_art",
+    "TraceRecorder": ".search_art",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

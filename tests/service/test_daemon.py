@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.bench.programs import random_suite
 from repro.ir.parser import parse_program
+from repro.layout.layout import row_major
 from repro.opt.network_builder import BuildOptions
 from repro.service.batch import run_batch
 from repro.service.cache import ShardedResultCache
@@ -236,6 +237,38 @@ class TestMistypedProgramFields:
         finally:
             daemon.close()
         assert response["id"] == 5
+        assert response["ok"] is False
+        assert response["reason"] == BAD_REQUEST
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+class TestEvaluateLayoutsMismatch:
+    """Explicit evaluate layouts must give each program array exactly one
+    layout of its rank; anything else is a bad request, answered before
+    a worker sees it."""
+
+    @pytest.mark.parametrize("defect", ["missing", "rank", "unknown"])
+    def test_is_a_bad_request_not_internal(self, defect, caplog):
+        caplog.set_level(logging.WARNING)
+        layouts = {"Q1": row_major(2), "Q2": row_major(2)}
+        if defect == "missing":
+            del layouts["Q2"]
+        elif defect == "rank":
+            layouts["Q2"] = row_major(3)
+        else:
+            layouts["Q3"] = row_major(2)
+        payload = evaluate_request(
+            _program(520), layouts=layouts, sim_cap=50, request_id=6
+        )
+        daemon = SolverDaemon(
+            config=_fast_config(),
+            daemon_config=DaemonConfig(workers=1, shards=1),
+        )
+        try:
+            response = asyncio.run(daemon.handle_line(json.dumps(payload)))
+        finally:
+            daemon.close()
+        assert response["id"] == 6
         assert response["ok"] is False
         assert response["reason"] == BAD_REQUEST
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
