@@ -13,13 +13,18 @@ daemon twice and asserts:
   tier (``native``/``bitset``;
   which one the ``auto`` crossover picks is host- and size-dependent,
   but a silent zero row means the telemetry seam broke);
-* every request is sent with ``"trace": true`` and every response's
-  span tree contains a ``cache_lookup`` phase;
+* every request of the two passes is sent with ``"trace": true`` and
+  every response's span tree contains a ``cache_lookup`` phase;
+* a third, untraced pass of the solves (the hit path a build takes,
+  answered in the daemon's read loop) is served wholly from the cache
+  with the first pass's results;
 * the ``metrics`` request kind answers with parseable Prometheus text
   covering the cache, engine, and portfolio subsystems, and the
   cache-hit counters strictly increase between the two passes;
 * with a second argument naming the daemon's ``--trace-log`` file,
-  the teed span trees are validated line by line.
+  the teed span trees are validated line by line;
+* the closing ``shutdown`` ends a second, idle connection too: it
+  sees EOF.
 
 Usage::
 
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import sys
 import time
 
@@ -128,6 +134,9 @@ def main(argv: list[str]) -> int:
         first_scrape = client.metrics()
         second = client.request_many(requests)
         second_scrape = client.metrics()
+        untraced = client.request_many(
+            [solve_request(program) for program in programs]
+        )
         stats = client.stats()
 
     failures = 0
@@ -170,6 +179,19 @@ def main(argv: list[str]) -> int:
             print(f"FAIL: payload drift for {before['result'].get('program')}")
             return 1
 
+    # The untraced pass takes the daemon's untraced hit path (no span
+    # tree; the traced passes above never run it).
+    for program, response, before in zip(programs, untraced, first[::2]):
+        if not (response.get("ok") and response.get("from_cache")):
+            print(f"FAIL: untraced solve of {program.name} not served "
+                  f"from cache: {response}")
+            return 1
+        if "trace" in response or response["result"] != before["result"]:
+            print(f"FAIL: untraced hit for {program.name} differs from pass 1")
+            return 1
+    print(f"OK: untraced pass: {len(untraced)}/{len(untraced)} from cache, "
+          "results equal to pass 1")
+
     engines = stats.get("engines", {})
     print(f"daemon engines: {engines}")
     tier_total = sum(engines.get(tier, 0) for tier in ("native", "bitset"))
@@ -201,9 +223,28 @@ def main(argv: list[str]) -> int:
                 return 1
         print(f"OK: trace log carries {len(lines)} valid span trees")
 
-    with DaemonClient(socket_path) as client:
-        client.shutdown()
-    print("OK: daemon smoke passed (daemon asked to shut down)")
+    # A second connection idles through the shutdown: the daemon must
+    # end its stream (EOF) as well, not wait for the client to leave.
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as idle:
+        idle.settimeout(30.0)
+        idle.connect(socket_path)
+        idle.sendall(b'{"id": 0, "kind": "ping"}\n')
+        with idle.makefile("rb") as idle_reader:
+            if not json.loads(idle_reader.readline()).get("ok"):
+                print("FAIL: ping on the idle connection failed")
+                return 1
+            with DaemonClient(socket_path) as client:
+                client.shutdown()
+            try:
+                leftover = idle_reader.readline()
+            except socket.timeout:
+                print("FAIL: the idle connection stayed open after shutdown")
+                return 1
+        if leftover:
+            print(f"FAIL: unexpected line on the idle connection: {leftover!r}")
+            return 1
+    print("OK: daemon smoke passed (daemon asked to shut down; idle "
+          "connection saw EOF)")
     return 0
 
 

@@ -27,14 +27,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from importlib import import_module
 from typing import Callable, Mapping, Sequence
 
-from repro.csp.backjumping import ConflictDirectedSolver
-from repro.csp.backtracking import BacktrackingSolver
 from repro.csp.compiled import CompiledNetwork
 from repro.csp.enhanced import EnhancedSolver
-from repro.csp.forward_checking import ForwardCheckingSolver
-from repro.csp.minconflicts import MinConflictsSolver
 from repro.csp.stats import SolverStats
 from repro.csp.vectorized import ENGINE_AUTO, resolve_engine
 from repro.csp.weighted import BranchAndBoundSolver
@@ -42,19 +39,50 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import EFFORT_BUCKETS
 
+#: Schemes whose solver module is imported on the scheme's first use
+#: (or by :func:`preload_schemes`): name -> (module, solver class).
+#: The ladder itself needs only the enhanced solver and the weighted
+#: fallback, so a direct scheme loads no other solver.
+_DEFERRED_SOLVERS: dict[str, tuple[str, str]] = {
+    "base": ("repro.csp.backtracking", "BacktrackingSolver"),
+    "cbj": ("repro.csp.backjumping", "ConflictDirectedSolver"),
+    "forward-checking": ("repro.csp.forward_checking", "ForwardCheckingSolver"),
+    "min-conflicts": ("repro.csp.minconflicts", "MinConflictsSolver"),
+}
+
+
+def _deferred(module: str, name: str) -> Callable[[int], object]:
+    """A solver factory that imports its module on first call."""
+
+    def build(seed: int):
+        return getattr(import_module(module), name)(seed=seed)
+
+    return build
+
+
 #: The scheme registry: name -> solver factory (seed -> solver).
 #: "weighted" is the branch & bound over the nest-cost weighted
 #: network: always returns an assignment, exact exactly when the hard
 #: network is satisfiable.  Entries added here (e.g. by tests or
 #: experiments) run on the ladder exactly like the built-in schemes.
 SCHEMES: dict[str, Callable[[int], object]] = {
-    "base": lambda seed: BacktrackingSolver(seed=seed),
+    "base": _deferred(*_DEFERRED_SOLVERS["base"]),
     "enhanced": lambda seed: EnhancedSolver(seed=seed),
-    "cbj": lambda seed: ConflictDirectedSolver(seed=seed),
-    "forward-checking": lambda seed: ForwardCheckingSolver(seed=seed),
-    "min-conflicts": lambda seed: MinConflictsSolver(seed=seed),
+    "cbj": _deferred(*_DEFERRED_SOLVERS["cbj"]),
+    "forward-checking": _deferred(*_DEFERRED_SOLVERS["forward-checking"]),
+    "min-conflicts": _deferred(*_DEFERRED_SOLVERS["min-conflicts"]),
     "weighted": lambda seed: BranchAndBoundSolver(),
 }
+
+
+def preload_schemes(schemes: Sequence[str]) -> None:
+    """Import the solver modules of ``schemes`` now, e.g. in a server
+    before it forks workers, so no worker imports one on its first
+    solve."""
+    for name in schemes:
+        if name in _DEFERRED_SOLVERS:
+            import_module(_DEFERRED_SOLVERS[name][0])
+
 
 #: Default portfolio ladder: complementary strengths, no duplicates.
 DEFAULT_SCHEMES: tuple[str, ...] = ("enhanced", "cbj", "forward-checking")

@@ -355,7 +355,9 @@ class ResultCache:
         )
         try:
             with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
+                # ``json.dump`` streams through the pure-Python encoder;
+                # one ``dumps`` takes the C encoder, same bytes.
+                handle.write(json.dumps(payload, separators=(",", ":")))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(temp_path, self._path)

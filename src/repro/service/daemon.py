@@ -18,17 +18,25 @@ disk, and exited.  The daemon keeps all of that resident:
   :mod:`repro.service.stream`) from one unix socket or from stdin,
   answering out of order as work completes;
 * **backpressure** via a bounded in-flight semaphore: when
-  ``max_inflight`` requests are being served, the daemon stops
-  *reading* from the connection, the socket buffer fills, and the
-  client's writes block -- flow control falls out of socket/pipe
-  semantics instead of an unbounded queue;
+  ``max_inflight`` solve misses and evaluate requests are being
+  served, the daemon stops *reading* from the connection, the socket
+  buffer fills, and the client's writes block -- flow control falls
+  out of socket/pipe semantics instead of an unbounded queue.  A
+  solve the cache answers takes no permit: it is answered in the read
+  loop itself.  Replies are buffered, never waited on, so a client
+  that pipelines a whole batch before reading cannot deadlock it;
 * **in-flight deduplication**: concurrent identical misses (same
   fingerprint and config token) share one worker dispatch;
-* a **decode-free hit path**: a bounded memo maps the SHA-256 of a
-  request's canonical program wire form to its request fingerprint,
-  so a repeat solve answers from the cache without rebuilding the
+* a **decode-free hit path**: a bounded memo maps a digest of a
+  request's program wire form to its request fingerprint, so a
+  repeat solve answers from the cache without rebuilding the
   :class:`~repro.ir.program.Program` (it is decoded on first sight,
-  and again only when the cache no longer holds the answer).
+  and again only when the cache no longer holds the answer).  The
+  digest is a SHA-256 over :mod:`marshal` bytes of the wire with its
+  objects' keys sorted (see :func:`wire_memo_key`);
+* **shutdown by cancellation**: a ``shutdown`` request cancels every
+  stream waiting in its read loop; each stream still answers the
+  requests it has in flight, the acknowledgement among them.
 
 One daemon per host is the deployment: its worker pool takes the
 host's cores, and every client talks to it over its unix socket.  The
@@ -41,8 +49,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import hashlib
-import json
 import logging
+import marshal
 import multiprocessing
 import os
 import stat
@@ -52,6 +60,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from importlib import import_module
 
 from repro import __version__
 from repro.csp.vectorized import native_available
@@ -66,6 +75,7 @@ from repro.obs import (
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS
 from repro.obs.trace import NOOP_SPAN, Span
 from repro.opt.passes.base import PASS_SECONDS_METRIC
+from repro.opt.ladder import preload_schemes
 from repro.opt.network_builder import BuildOptions
 from repro.service import stream
 from repro.service.cache import ShardedResultCache
@@ -152,6 +162,55 @@ class _BoundedMemo(OrderedDict):
         self.move_to_end(key)
         while len(self) > self._capacity:
             self.popitem(last=False)
+
+
+def wire_memo_key(wire) -> bytes | None:
+    """The wire memo's key for a program wire form; None when the wire
+    cannot be keyed (it is then served, just never memoized).
+
+    A SHA-256 over the :mod:`marshal` bytes of the wire with the
+    top-level object and each ``nests`` object turned into tuples of
+    sorted items, so twins whose keys are only reordered share a key.
+    JSON never yields a tuple, and ``marshal.loads(marshal.dumps(x))
+    == x``, so equal bytes mean an equal wire, leaf types included
+    (``1``, ``1.0`` and ``true`` are three keys): a key never maps two
+    programs to one fingerprint.  Format 2 writes no back-references,
+    so the bytes depend on the values alone, not on which of them
+    share one object.  An equal wire with unequal bytes (an object
+    elsewhere in another key order) costs only a memo miss.
+    """
+    if type(wire) is not dict:
+        return None
+    nests = wire.get("nests")
+    if type(nests) is not list or any(type(n) is not dict for n in nests):
+        return None  # malformed: ``program_from_wire`` rejects it
+    try:
+        canonical = tuple(
+            sorted(
+                (key, [tuple(sorted(nest.items())) for nest in nests])
+                if key == "nests"
+                else (key, value)
+                for key, value in wire.items()
+            )
+        )
+        return hashlib.sha256(marshal.dumps(canonical, 2)).digest()
+    except (TypeError, ValueError):  # unorderable keys, unmarshallable leaves
+        return None
+
+
+@dataclass(slots=True)
+class _SolveState:
+    """One solve's decoded state, built by its synchronous half and
+    handed to its miss dispatch, so one request looks the memo up
+    once."""
+
+    payload: dict
+    start: float
+    root: object
+    wire: dict
+    program: Program | None
+    fingerprint: str
+    token: str
 
 
 def _init_worker(config: PortfolioConfig, options: BuildOptions) -> None:
@@ -251,6 +310,10 @@ class SolverDaemon:
         self._inflight: asyncio.Semaphore | None = None
         self._pending: dict[str, asyncio.Future] = {}
         self._shutdown = asyncio.Event()
+        #: Streams waiting in their read loop (a shutdown cancels them)
+        #: and live socket connections (a shutdown waits for them).
+        self._readers: set[asyncio.Task] = set()
+        self._connections: set[asyncio.Task] = set()
         # Monotonic, so a system clock step never makes uptime jump
         # (or go negative) in `stats`.
         self._started_at = time.monotonic()
@@ -278,8 +341,8 @@ class SolverDaemon:
         self.engine_counters = {"bitset": 0, "native": 0}
         #: Error replies by reason code (every error reply carries one).
         self.error_counters = dict.fromkeys(stream.ERROR_REASONS, 0)
-        #: Wire memo: digest of a request's canonical program wire form
-        #: -> its request fingerprint, filled only once the wire decoded
+        #: Wire memo: :func:`wire_memo_key` of a request's program wire
+        #: form -> its request fingerprint, filled only once the wire decoded
         #: and fingerprinted, so a repeat skips both.  Bounded like the
         #: result cache itself (capacity per shard x shards).
         self._wire_memo = _BoundedMemo(
@@ -305,7 +368,15 @@ class SolverDaemon:
         return self._inflight
 
     def warm_up(self) -> None:
-        """Spin the pool up eagerly (first request pays nothing)."""
+        """Spin the pool up eagerly (first request pays nothing).
+
+        The native kernel and the ladder's solver modules are loaded
+        first, so forked workers inherit them instead of loading them
+        on their first miss.
+        """
+        if native_available():
+            import_module("repro.csp.native.ops")
+        preload_schemes(self._config.schemes)
         pool = self._ensure_pool()
         # A no-op round through every worker forces initializer runs.
         for _ in pool.map(_noop, range(self._daemon_config.workers)):
@@ -351,18 +422,25 @@ class SolverDaemon:
         return await self.handle_request(payload)
 
     async def handle_request(self, payload: dict) -> dict:
-        """Serve one decoded request under the in-flight bound."""
-        if payload.get("kind") in ("solve", "evaluate"):
+        """Serve one decoded request.
+
+        A solve the cache answers needs no in-flight permit; a solve
+        miss and an evaluate request hold one while they are served.
+        """
+        if payload.get("kind") == "evaluate":
             async with self._semaphore():
                 return await self._serve_decoded(payload)
         return await self._serve_decoded(payload)
 
     async def _serve_decoded(self, payload: dict) -> dict:
-        """Serve one decoded request; the caller owns any permit."""
-        self.counters["requests"] += 1
+        """Serve one decoded request; the caller owns any evaluate
+        permit (a solve takes its own, on a miss only)."""
         request_id = payload.get("id")
         kind = payload["kind"]
         try:
+            if kind == "solve":
+                return await self._handle_solve(payload)  # counts itself
+            self.counters["requests"] += 1
             if kind == "ping":
                 return self._hello(request_id)
             if kind == "stats":
@@ -384,15 +462,20 @@ class SolverDaemon:
                 }
             if kind == "shutdown":
                 self._shutdown.set()
+                self._stop_reading()
                 return {"id": request_id, "ok": True, "kind": "shutdown"}
-            if kind == "solve":
-                return await self._handle_solve(payload)
             return await self._handle_evaluate(payload)
-        except ProtocolError as exc:
+        except Exception as exc:
+            return self._failure(request_id, exc)
+
+    def _failure(self, request_id, exc: Exception) -> dict:
+        """The error reply for a request whose handler raised: a
+        protocol error is the client's, anything else the daemon's."""
+        if isinstance(exc, ProtocolError):
             return self._error(request_id, str(exc), stream.BAD_REQUEST)
-        except Exception as exc:  # worker/validation failures stay on-wire
-            logger.exception("request %r failed", request_id)
-            return self._error(request_id, repr(exc), stream.INTERNAL)
+        # Worker and validation failures stay on-wire.
+        logger.exception("request %r failed", request_id)
+        return self._error(request_id, repr(exc), stream.INTERNAL)
 
     def _error(self, request_id, message: str, reason: str) -> dict:
         """An error reply with its reason code, counted by reason."""
@@ -579,13 +662,8 @@ class SolverDaemon:
 
     def _memo_lookup(self, wire) -> tuple[bytes | None, str | None]:
         """The wire form's memo key and its memoized fingerprint (None
-        on a memo miss, or when the wire is no JSON value at all)."""
-        try:
-            encoded = json.dumps(wire, sort_keys=True, separators=(",", ":"))
-        except (TypeError, ValueError):
-            key = None  # never stored, so always a miss
-        else:
-            key = hashlib.sha256(encoded.encode()).digest()
+        on a memo miss, or when the wire cannot be keyed)."""
+        key = wire_memo_key(wire)  # None is never stored: always a miss
         fingerprint = self._wire_memo.get(key)
         self.wire_memo_counters["misses" if fingerprint is None else "hits"] += 1
         return key, fingerprint
@@ -602,51 +680,103 @@ class SolverDaemon:
         return fingerprint
 
     async def _handle_solve(self, payload: dict) -> dict:
-        start = time.perf_counter()
+        """Serve one solve: from the cache at once, else under an
+        in-flight permit on the pool."""
+        answer = self._answer_solve(payload)
+        if not isinstance(answer, _SolveState):
+            return answer
+        async with self._semaphore():
+            return await self._solve_miss(answer)
+
+    def _answer_solve(self, payload: dict) -> dict | _SolveState:
+        """A solve's synchronous half: wire memo, fingerprint, cache.
+
+        Returns the reply when the cache answers (or the request is
+        malformed), else the :class:`_SolveState` that
+        :meth:`_solve_miss` dispatches from.  The read loop calls it
+        directly, so a hit costs no task and no permit.
+        """
+        self.counters["requests"] += 1
         self.counters["solve"] += 1
+        start = time.perf_counter()
         root = self._request_span(payload, "solve")
-        with root.phase("decode"):
-            wire = payload["program"]
-            key, fingerprint = self._memo_lookup(wire)
-            program = None
-            if fingerprint is None:
-                program = stream.program_from_wire(wire)
-        with root.phase("fingerprint"):
-            fingerprint = self._fingerprint(key, fingerprint, program)
-            token = self._config.token()
-        with root.phase("cache_lookup"):
-            cached = self.cache.get(fingerprint, token)
-        if cached is not None:
-            self.counters["cache_served"] += 1
-            with root.phase("encode"):
-                result = dict(cached)
-                # May be a renamed twin; Program keeps its name verbatim.
-                result["program"] = wire["name"]
-            response = {
-                "id": payload.get("id"),
-                "ok": True,
-                "kind": "solve",
-                "from_cache": True,
-                "result": result,
-            }
-            return self._finish(root, payload, response, start)
-        if program is None:  # memo hit whose answer left the cache
+        try:
             with root.phase("decode"):
-                program = stream.program_from_wire(wire)
-        data = await self._dispatch(
-            fingerprint, token, root, _worker_solve, program, fingerprint
-        )
+                wire = payload["program"]
+                key, fingerprint = self._memo_lookup(wire)
+                program = None
+                if fingerprint is None:
+                    program = stream.program_from_wire(wire)
+            with root.phase("fingerprint"):
+                fingerprint = self._fingerprint(key, fingerprint, program)
+                token = self._config.token()
+            state = _SolveState(
+                payload, start, root, wire, program, fingerprint, token
+            )
+            return self._cached_reply(state) or state
+        except Exception as exc:
+            return self._failure(payload.get("id"), exc)
+
+    def _cached_reply(self, state: _SolveState) -> dict | None:
+        """The solve's reply from the cache, or None when it has none:
+        the one place a solve is answered from the cache."""
+        root = state.root
+        with root.phase("cache_lookup"):
+            cached = self.cache.get(state.fingerprint, state.token)
+        if cached is None:
+            return None
+        self.counters["cache_served"] += 1
         with root.phase("encode"):
-            result = dict(data["result"])
-            result["program"] = program.name
+            result = dict(cached)
+            # May be a renamed twin; Program keeps its name verbatim.
+            result["program"] = state.wire["name"]
         response = {
-            "id": payload.get("id"),
+            "id": state.payload.get("id"),
             "ok": True,
             "kind": "solve",
-            "from_cache": False,
+            "from_cache": True,
             "result": result,
         }
-        return self._finish(root, payload, response, start)
+        return self._finish(root, state.payload, response, state.start)
+
+    async def _solve_miss(self, state: _SolveState) -> dict:
+        """A solve's asynchronous half: dispatch the miss to the pool.
+
+        The caller holds the in-flight permit.  A twin's answer may
+        have reached the cache while this request waited for it; it is
+        then served from there instead of solved again.
+        """
+        try:
+            if self.cache.contains(state.fingerprint, state.token):
+                reply = self._cached_reply(state)
+                if reply is not None:
+                    return reply
+            root = state.root
+            program = state.program
+            if program is None:  # memo hit whose answer left the cache
+                with root.phase("decode"):
+                    program = stream.program_from_wire(state.wire)
+            data = await self._dispatch(
+                state.fingerprint,
+                state.token,
+                root,
+                _worker_solve,
+                program,
+                state.fingerprint,
+            )
+            with root.phase("encode"):
+                result = dict(data["result"])
+                result["program"] = program.name
+            response = {
+                "id": state.payload.get("id"),
+                "ok": True,
+                "kind": "solve",
+                "from_cache": False,
+                "result": result,
+            }
+            return self._finish(root, state.payload, response, state.start)
+        except Exception as exc:
+            return self._failure(state.payload.get("id"), exc)
 
     async def _handle_evaluate(self, payload: dict) -> dict:
         start = time.perf_counter()
@@ -757,76 +887,58 @@ class SolverDaemon:
 
     # -- serving loops ---------------------------------------------------
 
-    async def _next_line(self, read_line) -> bytes:
-        """One line, or b"" on EOF *or* shutdown (whichever first).
-
-        Racing the read against the shutdown event means a ``shutdown``
-        request served on any connection unblocks every other reader
-        -- including a stdio daemon whose client keeps stdin open.
-        """
-        read_task = asyncio.ensure_future(read_line())
-        shutdown_task = asyncio.ensure_future(self._shutdown.wait())
-        try:
-            await asyncio.wait(
-                {read_task, shutdown_task},
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-        finally:
-            shutdown_task.cancel()
-        if read_task.done():
-            return read_task.result()
-        read_task.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await read_task
-        return b""
-
-    async def _acquire_or_shutdown(self) -> bool:
-        """Wait for a serving permit; False when shutdown wins the wait."""
-        acquire_task = asyncio.ensure_future(self._semaphore().acquire())
-        shutdown_task = asyncio.ensure_future(self._shutdown.wait())
-        try:
-            await asyncio.wait(
-                {acquire_task, shutdown_task},
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-        finally:
-            shutdown_task.cancel()
-        if not acquire_task.done():
-            acquire_task.cancel()
-            return False
-        if self._shutdown.is_set():
-            self._semaphore().release()
-            return False
-        return True
+    def _stop_reading(self) -> None:
+        """Cancel every stream waiting in its read loop: with
+        ``_shutdown`` set, :meth:`_serve_stream` takes that as the end
+        of its stream.  Each stream is cancelled once."""
+        readers, self._readers = self._readers, set()
+        for reader in readers:
+            reader.cancel()
 
     async def _serve_stream(self, read_line, write_line) -> None:
-        """Core loop: read lines, serve each as its own task, stream
-        responses back in completion order.
+        """Core loop: read lines, answer cache hits in place, serve the
+        rest each as its own task, stream responses back in completion
+        order.
 
-        Backpressure is event-driven: a solve/evaluate line is only
-        *read into a task* once an in-flight permit is held, so a full
-        daemon stops reading and the transport pushes back on the
-        client.  Control kinds (ping/stats/shutdown) bypass the bound:
-        a saturated daemon stays inspectable and stoppable.
+        A solve the cache answers is replied to right here: one decode,
+        one memo key, one lookup, one encode, with no task and no
+        permit.  Backpressure for the rest is event-driven: a solve
+        miss or an evaluate line is only *handed to a task* once an
+        in-flight permit is held, so a full daemon stops reading and
+        the transport pushes back on the client.  Control kinds
+        (ping/stats/shutdown) bypass the bound: a saturated daemon
+        stays inspectable and stoppable.
+
+        ``write_line`` buffers its line and must not wait for the peer
+        to read it: a client may send a whole pipelined batch before it
+        reads a reply (:class:`~repro.service.stream.DaemonClient`
+        does), and a loop that stopped reading until its replies were
+        read would deadlock against it.  So a write never suspends,
+        and replies need no lock to keep their lines whole.
+
+        A ``shutdown`` request (on any stream) cancels this loop's
+        wait wherever it is; the loop then stops reading, and its tail
+        still answers the requests in flight -- the shutdown
+        acknowledgement among them.  A cancellation without
+        ``_shutdown`` set propagates as usual.
 
         A line over :data:`MAX_REQUEST_BYTES` gets one
         ``request_too_large`` error reply and ends the stream (requests
         already in flight are still answered): the rest of that line
         cannot be told apart from the next request.
         """
-        write_lock = asyncio.Lock()
+        inflight = self._semaphore()
         tasks: set[asyncio.Task] = set()
 
         async def respond(response: dict) -> None:
-            async with write_lock:
-                await write_line(stream.encode_response(response))
+            await write_line(stream.encode_response(response))
 
-        async def serve_decoded(payload: dict, permit: bool) -> None:
+        async def serve(coroutine, permit: bool) -> None:
             try:
-                response = await self._serve_decoded(payload)
+                response = await coroutine
             finally:
                 if permit:
-                    self._semaphore().release()
+                    inflight.release()
             await respond(response)
 
         def spawn(coroutine) -> None:
@@ -834,37 +946,54 @@ class SolverDaemon:
             tasks.add(task)
             task.add_done_callback(tasks.discard)
 
-        while not self._shutdown.is_set():
-            try:
-                line = await self._next_line(read_line)
-            except ValueError:  # over the StreamReader line limit
-                self.counters["requests"] += 1
-                response = self._error(
-                    None,
-                    f"request line exceeds {MAX_REQUEST_BYTES} bytes",
-                    stream.REQUEST_TOO_LARGE,
-                )
-                await respond(response)
-                break
-            if not line:  # EOF or shutdown
-                break
-            if not line.strip():
-                continue
-            try:
-                payload = stream.decode_request(line)
-            except ProtocolError as exc:
-                self.counters["requests"] += 1
-                response = self._error(
-                    stream.best_effort_id(line), str(exc), stream.BAD_REQUEST
-                )
-                spawn(respond(response))
-                continue
-            if payload["kind"] in ("solve", "evaluate"):
-                if not await self._acquire_or_shutdown():
+        reader = asyncio.current_task()
+        self._readers.add(reader)
+        try:
+            while not self._shutdown.is_set():
+                try:
+                    line = await read_line()
+                except ValueError:  # over the StreamReader line limit
+                    self.counters["requests"] += 1
+                    response = self._error(
+                        None,
+                        f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+                        stream.REQUEST_TOO_LARGE,
+                    )
+                    await respond(response)
                     break
-                spawn(serve_decoded(payload, permit=True))
-            else:
-                spawn(serve_decoded(payload, permit=False))
+                if not line:  # EOF
+                    break
+                if not line.strip():
+                    continue
+                try:
+                    payload = stream.decode_request(line)
+                except ProtocolError as exc:
+                    self.counters["requests"] += 1
+                    response = self._error(
+                        stream.best_effort_id(line), str(exc), stream.BAD_REQUEST
+                    )
+                    await respond(response)
+                    continue
+                kind = payload["kind"]
+                if kind == "solve":
+                    answer = self._answer_solve(payload)
+                    if not isinstance(answer, _SolveState):
+                        await respond(answer)
+                        continue
+                    await inflight.acquire()
+                    spawn(serve(self._solve_miss(answer), permit=True))
+                elif kind == "evaluate":
+                    await inflight.acquire()
+                    spawn(serve(self._serve_decoded(payload), permit=True))
+                else:
+                    spawn(serve(self._serve_decoded(payload), permit=False))
+        except asyncio.CancelledError:
+            if not self._shutdown.is_set():
+                raise
+            if hasattr(reader, "uncancel"):  # Python 3.11+
+                reader.uncancel()
+        finally:
+            self._readers.discard(reader)
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
 
@@ -874,9 +1003,12 @@ class SolverDaemon:
         """Serve one socket connection until EOF or shutdown."""
 
         async def write_line(data: bytes) -> None:
+            # No ``drain()``: the transport buffers what the client has
+            # not read yet (see `_serve_stream`); closing flushes it.
             writer.write(data)
-            await writer.drain()
 
+        connection = asyncio.current_task()
+        self._connections.add(connection)
         try:
             await self._serve_stream(reader.readline, write_line)
         except (ConnectionResetError, BrokenPipeError):
@@ -885,14 +1017,16 @@ class SolverDaemon:
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
+            self._connections.discard(connection)
 
     async def serve_unix(self, socket_path: str) -> None:
         """Listen on a unix socket until a ``shutdown`` request.
 
-        The socket file is removed on exit.  A stale file left by a
-        SIGKILL-ed predecessor is reclaimed on entry -- but only after
-        a probe connection confirms nothing live is accepting on it
-        (:func:`reclaim_stale_socket`), so two daemons can never
+        The socket file is removed on exit, once every connection has
+        answered what it had in flight and closed.  A stale file left
+        by a SIGKILL-ed predecessor is reclaimed on entry -- but only
+        after a probe connection confirms nothing live is accepting on
+        it (:func:`reclaim_stale_socket`), so two daemons can never
         silently fight over one path.
         """
         reclaim_stale_socket(socket_path)
@@ -904,9 +1038,10 @@ class SolverDaemon:
         try:
             async with server:
                 await self._shutdown.wait()
-                # Give connection tasks a beat to flush their final
-                # (shutdown-acknowledging) response lines.
-                await asyncio.sleep(0.05)
+                # Also ends the streams when ``_shutdown`` was set
+                # directly rather than by a request.
+                self._stop_reading()
+            await asyncio.gather(*self._connections, return_exceptions=True)
         finally:
             with contextlib.suppress(OSError):
                 os.unlink(socket_path)
@@ -921,18 +1056,30 @@ class SolverDaemon:
         tty; the queue bound keeps stdin backpressure real, awaiting
         the queue stays cancellable (a ``shutdown`` request exits even
         while the client holds stdin open), and the pump thread dies
-        with the process instead of pinning interpreter exit.
+        with the process instead of pinning interpreter exit.  The
+        pump reads the raw descriptor: a thread blocked in
+        ``sys.stdin.buffer.readline`` holds that buffer's lock, and
+        interpreter exit aborts when it cannot take it.
         """
         loop = asyncio.get_running_loop()
         self.warm_up()
         queue: asyncio.Queue = asyncio.Queue(
             maxsize=self._daemon_config.max_inflight
         )
+        descriptor = sys.stdin.fileno()
+
+        def put(line: bytes) -> None:
+            asyncio.run_coroutine_threadsafe(queue.put(line), loop).result()
 
         def pump() -> None:
+            pending = b""
             try:
-                for line in iter(sys.stdin.buffer.readline, b""):
-                    asyncio.run_coroutine_threadsafe(queue.put(line), loop).result()
+                while chunk := os.read(descriptor, 1 << 16):
+                    *lines, pending = (pending + chunk).split(b"\n")
+                    for line in lines:
+                        put(line + b"\n")
+                if pending:
+                    put(pending)
             except (RuntimeError, OSError):  # loop closed mid-shutdown
                 return
             with contextlib.suppress(RuntimeError):

@@ -14,7 +14,8 @@ import repro
 
 #: Modules the optimize path never calls: the simulator, cache model,
 #: cost models, visualizations and the service stack, plus the heavy
-#: third-party and stdlib machinery only they import.
+#: third-party and stdlib machinery only they import, and the solvers
+#: of schemes other than the ``enhanced`` one the probe runs.
 NOT_ON_OPTIMIZE_PATH = (
     "numpy",
     "asyncio",
@@ -25,6 +26,10 @@ NOT_ON_OPTIMIZE_PATH = (
     "repro.cachesim",
     "repro.eval",
     "repro.viz",
+    "repro.csp.backtracking",
+    "repro.csp.backjumping",
+    "repro.csp.forward_checking",
+    "repro.csp.minconflicts",
 )
 
 _OPTIMIZE_PROBE = """

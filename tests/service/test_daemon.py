@@ -1,11 +1,16 @@
 """Resident daemon: streaming protocol, warm cache, backpressure."""
 
 import asyncio
+import contextlib
 import json
 import logging
+import multiprocessing
 import os
 import random
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -15,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.programs import random_suite
+from repro.csp.vectorized import native_available
 from repro.ir.parser import parse_program
 from repro.layout.layout import row_major
 from repro.opt.network_builder import BuildOptions
@@ -25,6 +31,7 @@ from repro.service.daemon import (
     DaemonConfig,
     SolverDaemon,
     reclaim_stale_socket,
+    wire_memo_key,
 )
 from repro.service.evaluate import EvaluationRequest, run_evaluation_batch
 from repro.service.fingerprint import request_fingerprint
@@ -515,6 +522,81 @@ class TestWireMemoProperty:
         )
 
 
+def _leaf_paths(value, path=()):
+    """Every path to a non-container value in a JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaf_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaf_paths(item, path + (index,))
+    else:
+        yield path
+
+
+def _with_leaf(wire, path, leaf):
+    """A copy of ``wire`` whose value at ``path`` is ``leaf``."""
+    copy = json.loads(json.dumps(wire))
+    holder = copy
+    for step in path[:-1]:
+        holder = holder[step]
+    holder[path[-1]] = leaf
+    return copy
+
+
+class TestWireMemoKeyProperty:
+    """The memo key tells apart wires a Python ``==`` or a loose
+    encoding would conflate: a key shared by two wires means the same
+    program."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        index=st.integers(0, len(_RANDOM_PROGRAMS) - 1),
+        data=st.data(),
+    )
+    def test_wires_one_leaf_apart_never_share_a_key(self, index, data):
+        wire = json.loads(json.dumps(program_to_wire(_RANDOM_PROGRAMS[index])))
+        path = data.draw(st.sampled_from(list(_leaf_paths(wire))))
+        variants = [
+            _with_leaf(wire, path, leaf)
+            for leaf in (1, 1.0, True, [], {}, ["a", 1], [["a", 1]], {"a": 1})
+        ]
+        keys = [wire_memo_key(variant) for variant in variants]
+        assert None not in keys
+        assert len(set(keys)) == len(keys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        index=st.integers(0, len(_RANDOM_PROGRAMS) - 1),
+        data=st.data(),
+        value=st.sampled_from([1, 1.0, True, None, "x", [], {}]),
+    )
+    def test_an_extra_key_never_shares_a_key(self, index, data, value):
+        wire = json.loads(json.dumps(program_to_wire(_RANDOM_PROGRAMS[index])))
+        objects = [wire] + wire["nests"]
+        target = data.draw(st.integers(0, len(objects) - 1))
+        extended = json.loads(json.dumps(wire))
+        ([extended] + extended["nests"])[target]["extra"] = value
+        assert wire_memo_key(extended) not in (None, wire_memo_key(wire))
+
+    def test_reordered_keys_share_a_key_json_or_python_built(self):
+        wire = program_to_wire(_RANDOM_PROGRAMS[0])
+        decoded = json.loads(json.dumps(_shuffled(wire, random.Random(2))))
+        assert wire_memo_key(decoded) == wire_memo_key(wire) is not None
+
+    def test_unkeyable_wires(self):
+        wire = program_to_wire(_RANDOM_PROGRAMS[0])
+        assert wire_memo_key([wire]) is None
+        assert wire_memo_key({**wire, "nests": {}}) is None
+        assert wire_memo_key({**wire, "nests": [["name", "n"]]}) is None
+        assert wire_memo_key({**wire, 7: "not a JSON key"}) is None
+        assert wire_memo_key({**wire, "name": Fraction(1, 3)}) is None
+        # A Python caller's nest given as the very tuple a dict nest is
+        # keyed by must not borrow that nest's key.
+        as_tuples = [tuple(sorted(nest.items())) for nest in wire["nests"]]
+        assert wire_memo_key({**wire, "nests": as_tuples}) is None
+
+
 class TestStaleSocketReclaim:
     def test_missing_path_is_fine(self, tmp_path):
         reclaim_stale_socket(str(tmp_path / "never-existed.sock"))
@@ -609,6 +691,139 @@ class TestShutdownSemantics:
         assert responses[0]["kind"] == "shutdown"
         assert responses[0]["ok"]
 
+    def test_shutdown_ends_serve_unix_while_another_connection_idles(
+        self, tmp_path
+    ):
+        """A shutdown on one connection ends every stream: an idle
+        second connection sees EOF and ``serve_unix`` returns."""
+        harness = _DaemonHarness(tmp_path)
+        idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            idle.settimeout(10.0)
+            idle.connect(harness.socket_path)
+            idle_reader = idle.makefile("rb")
+            # One round trip: the idle stream is in its read loop.
+            idle.sendall(b'{"id": 1, "kind": "ping"}\n')
+            assert json.loads(idle_reader.readline())["ok"]
+            with harness.client() as client:
+                assert client.shutdown()["ok"]
+            harness.thread.join(timeout=5.0)
+            assert not harness.thread.is_alive()
+            assert idle_reader.readline() == b""
+        finally:
+            idle.close()
+            harness.stop()
+
+    def test_a_miss_in_flight_at_shutdown_is_still_answered(self, tmp_path):
+        """``serve_unix`` waits for every connection's tail: a slow
+        request (an uncapped simulation) pipelined just before
+        ``shutdown`` gets its reply."""
+        harness = _DaemonHarness(tmp_path)
+        try:
+            # 360,000 iterations to simulate: far longer than one
+            # event-loop turn, not long for a test.
+            program = parse_program(
+                _TEMPLATE.replace("259", "599").replace("260", "600").format(
+                    rows=1200
+                ),
+                name="slow",
+            )
+            with harness.client() as client:
+                evaluated, stopped = client.request_many(
+                    [
+                        evaluate_request(program, cost_model="simulated"),
+                        {"kind": "shutdown"},
+                    ]
+                )
+            assert evaluated["ok"] and not evaluated["from_cache"]
+            assert stopped["ok"] and stopped["kind"] == "shutdown"
+        finally:
+            harness.stop()
+
+    def test_shutdown_on_one_stream_cancels_another(self):
+        """Two bare streams: the one that never gets a line ends too,
+        and the shutdown stream still answers its earlier request."""
+        daemon = SolverDaemon(
+            config=_fast_config(),
+            daemon_config=DaemonConfig(workers=1, shards=1),
+        )
+        written: list[bytes] = []
+
+        async def write_line(data: bytes) -> None:
+            written.append(data)
+
+        async def scenario():
+            quiet: asyncio.Queue = asyncio.Queue()  # never EOFs
+            loud: asyncio.Queue = asyncio.Queue()
+            streams = [
+                asyncio.create_task(daemon._serve_stream(q.get, write_line))
+                for q in (quiet, loud)
+            ]
+            for request in ({"id": 1, "kind": "ping"}, {"id": 2, "kind": "shutdown"}):
+                await loud.put(json.dumps(request).encode() + b"\n")
+            await asyncio.wait_for(asyncio.gather(*streams), timeout=10.0)
+            return [task.cancelled() for task in streams]
+
+        try:
+            cancelled = asyncio.run(scenario())
+        finally:
+            daemon.close()
+        assert cancelled == [False, False]
+        assert sorted(json.loads(line)["id"] for line in written) == [1, 2]
+
+    def test_stdio_daemon_exits_cleanly_while_stdin_stays_open(self, tmp_path):
+        """``--serve`` on stdio: a shutdown ends the process with status
+        0 although the client never closes stdin (no abort at exit
+        over the stdin reader's lock)."""
+        src = os.path.dirname(os.path.dirname(sys.modules["repro"].__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "--serve", "--no-cache",
+             "--workers", "1", "--portfolio", "enhanced"],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            start_new_session=True,  # its pool workers die with it
+        )
+        try:
+            proc.stdin.write(b'{"id": 1, "kind": "ping"}\n{"id": 2, "kind": "shutdown"}\n')
+            proc.stdin.flush()
+            replies = [json.loads(proc.stdout.readline()) for _ in range(2)]
+            assert proc.wait(timeout=30) == 0, proc.stderr.read().decode()
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            proc.stdin.close()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert sorted(reply["id"] for reply in replies) == [1, 2]
+
+    def test_cancellation_without_shutdown_propagates(self):
+        daemon = SolverDaemon(
+            config=_fast_config(),
+            daemon_config=DaemonConfig(workers=1, shards=1),
+        )
+
+        async def scenario():
+            queue: asyncio.Queue = asyncio.Queue()
+
+            async def write_line(data: bytes) -> None:
+                pass
+
+            server = asyncio.create_task(daemon._serve_stream(queue.get, write_line))
+            await asyncio.sleep(0)
+            server.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await server
+            assert not daemon._readers
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            daemon.close()
+
     def test_invalid_ttl_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="ttl_seconds"):
             DaemonConfig(ttl_seconds=0.0)
@@ -632,6 +847,169 @@ class TestBackpressure:
             ]
         finally:
             harness.stop()
+
+
+class TestReadLoopHits:
+    """A solve the cache answers is replied to in the read loop: no
+    task, no permit, every counter moved once."""
+
+    def test_pipelined_miss_then_hits_at_max_inflight_one(self, tmp_path):
+        harness = _DaemonHarness(
+            tmp_path,
+            daemon_config=DaemonConfig(workers=1, shards=2, max_inflight=1),
+        )
+        try:
+            warm = [_program(520), _program(524)]
+            fresh = _program(528, name="fresh")
+            with harness.client() as client:
+                client.solve_many(warm)
+                responses = client.request_many(
+                    [
+                        {**solve_request(fresh), "id": "miss"},
+                        {**solve_request(warm[0]), "id": 41},
+                        {**solve_request(warm[1]), "id": 42},
+                    ]
+                )
+            assert [r["id"] for r in responses] == ["miss", 41, 42]
+            assert all(r["ok"] for r in responses)
+            assert [r["from_cache"] for r in responses] == [False, True, True]
+            assert responses[0]["result"]["program"] == "fresh"
+        finally:
+            harness.stop()
+
+    def test_a_twin_waiting_for_the_permit_is_served_from_the_cache(
+        self, tmp_path
+    ):
+        """At ``max_inflight=1`` a pipelined twin misses the cache when
+        read, then waits for the permit while the first solve runs: it
+        is answered from the cache, not solved a second time."""
+        harness = _DaemonHarness(
+            tmp_path,
+            daemon_config=DaemonConfig(workers=1, shards=2, max_inflight=1),
+        )
+        try:
+            program = _program(520)
+            with harness.client() as client:
+                first, twin = client.solve_many([program, program])
+            assert not first["from_cache"] and twin["from_cache"]
+            assert twin["result"] == first["result"]
+            assert harness.daemon.cache.stats.stores == 1
+            assert harness.daemon.counters["cache_served"] == 1
+        finally:
+            harness.stop()
+
+    def test_a_batch_of_hits_sent_before_any_read_completes(self, harness):
+        """``DaemonClient`` writes a whole batch before it reads: the
+        daemon must keep reading while the replies (over a megabyte,
+        more than the socket buffers hold) wait to be read."""
+        program = _program(520)
+        with DaemonClient(harness.socket_path, timeout=30.0) as client:
+            client.solve(program)
+            responses = client.solve_many([program] * 2000)
+        assert sum(len(json.dumps(r)) for r in responses) > 1_000_000
+        assert all(r["ok"] and r["from_cache"] for r in responses)
+
+    def test_a_hit_moves_each_counter_by_exactly_one(self, harness):
+        daemon = harness.daemon
+        program = _program(520)
+
+        def snapshot() -> dict:
+            latency = daemon.registry.histogram(
+                "repro_request_seconds", {"kind": "solve"}
+            )
+            return {
+                **{name: daemon.counters[name] for name in (
+                    "requests", "solve", "cache_served", "evaluate", "errors"
+                )},
+                "memo_hits": daemon.wire_memo_counters["hits"],
+                "memo_misses": daemon.wire_memo_counters["misses"],
+                "latency_count": latency.count,
+                "cache_hits": daemon.cache.stats.hits,
+                "cache_misses": daemon.cache.stats.misses,
+            }
+
+        with harness.client() as client:
+            assert not client.solve(program)["from_cache"]
+            before = snapshot()
+            assert client.solve(program)["from_cache"]
+            after = snapshot()
+        delta = {name: after[name] - before[name] for name in before}
+        assert delta == {
+            "requests": 1,
+            "solve": 1,
+            "cache_served": 1,
+            "evaluate": 0,
+            "errors": 0,
+            "memo_hits": 1,
+            "memo_misses": 0,
+            "latency_count": 1,
+            "cache_hits": 1,
+            "cache_misses": 0,
+        }
+
+    def test_handle_request_and_the_read_loop_answer_a_hit_alike(self, harness):
+        """One hit implementation: the socket's traced hit and the
+        in-process one carry the same result and the same phases."""
+        program = _program(520, name="alike")
+        with harness.client() as client:
+            client.solve(program)
+            over_socket = client.solve(program, trace=True)
+        in_process = asyncio.run(
+            harness.daemon.handle_request(solve_request(program, trace=True))
+        )
+        for response in (over_socket, in_process):
+            assert response["from_cache"]
+            assert response["result"] == over_socket["result"]
+            phases = [child["name"] for child in response["trace"]["children"]]
+            assert phases == ["decode", "fingerprint", "cache_lookup", "encode"]
+
+
+_WORKER_PRELOAD_PROBE = """
+import json, sys
+from repro.service.daemon import DaemonConfig, SolverDaemon
+from repro.service.portfolio import PortfolioConfig
+
+
+def probe():
+    wanted = ("repro.csp.native.ops", "repro.csp.backjumping")
+    return [name for name in wanted if name in sys.modules]
+
+
+daemon = SolverDaemon(
+    config=PortfolioConfig(schemes=("enhanced", "cbj")),
+    daemon_config=DaemonConfig(workers=1, shards=1),
+)
+assert probe() == [], probe()  # the probe is not vacuous
+daemon.warm_up()
+try:
+    print(json.dumps(daemon._pool.submit(probe).result(timeout=60)))
+finally:
+    daemon.close()
+"""
+
+
+class TestWarmWorkers:
+    @pytest.mark.skipif(
+        not native_available()
+        or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the native kernel and fork-started workers",
+    )
+    def test_forked_workers_inherit_the_miss_path_modules(self):
+        """``warm_up`` loads the native kernel and the ladder's solver
+        modules before the pool forks, so a worker holds them before
+        its first solve (a fresh interpreter: no earlier test loaded
+        them)."""
+        src = os.path.dirname(os.path.dirname(sys.modules["repro"].__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _WORKER_PRELOAD_PROBE],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.splitlines()[-1]) == [
+            "repro.csp.native.ops",
+            "repro.csp.backjumping",
+        ]
 
 
 class TestThinClient:

@@ -72,6 +72,21 @@ class TestPersistence:
         assert reloaded.get("fp1", "cfg") == {"layouts": {"A": [[1, 0]]}}
         assert reloaded.stats.hits == 1
 
+    def test_saved_file_is_the_compact_dump_of_its_payload(self, tmp_path):
+        """The file holds exactly ``json.dumps(payload, separators=(",",
+        ":"))``: the encoder used to write it changes no byte."""
+        path = tmp_path / "cache.json"
+        cache = ResultCache(capacity=8, path=str(path))
+        cache.put("fp1", "cfg", {"layouts": {"A": [[1, -1]]}, "cost": 2.5})
+        cache.put("fp2", "cfg", {"program": "Med-Im\u00e904", "exact": True})
+        cache.save(merge=True)
+        cache.put("fp3", "cfg", {"nested": [None, [0.1, 1e300]]})
+        cache.save()
+        raw = path.read_bytes()
+        payload = json.loads(raw)
+        assert len(payload["entries"]) == 3
+        assert raw == json.dumps(payload, separators=(",", ":")).encode()
+
     def test_corrupt_file_starts_cold(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text("{not json", encoding="utf-8")
