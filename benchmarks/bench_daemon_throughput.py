@@ -33,12 +33,6 @@ from benchmarks.conftest import HARNESS_SEED
 #: The ladder measured here (matches bench_service_throughput).
 PORTFOLIO = ("enhanced", "cbj", "weighted")
 
-#: Cold-batch worker-pool size (``REPRO_BENCH_WORKERS`` trims CI runs;
-#: only the first value is used here).
-COLD_WORKERS = int(
-    os.environ.get("REPRO_BENCH_WORKERS", "4").split(",")[-1]
-)
-
 #: How many times the warm pass streams the whole suite through the
 #: daemon (pipelined); more passes amortize client-side JSON overhead
 #: into a stable requests/s figure.
@@ -57,11 +51,9 @@ def test_warm_daemon_beats_cold_batch(benchmark, programs, build_options, tmp_pa
         shards=4, directory=str(tmp_path / "cache.d")
     )
 
-    # -- cold: the classic one-shot batch, sharing the daemon's cache.
+    # -- cold: the one-shot in-process batch, sharing the daemon's cache.
     cold_start = time.perf_counter()
-    cold = run_batch(
-        batch, config, options=build_options, cache=cache, workers=COLD_WORKERS
-    )
+    cold = run_batch(batch, config, options=build_options, cache=cache)
     cold_seconds = time.perf_counter() - cold_start
     cold_rps = len(batch) / cold_seconds
     assert cold.cache_hits == 0
@@ -132,7 +124,7 @@ def test_warm_daemon_beats_cold_batch(benchmark, programs, build_options, tmp_pa
     print("\n[daemon warm vs cold batch]")
     print(
         f"  cold batch: {len(batch)} programs in {cold_seconds:.2f}s "
-        f"({cold_rps:.2f} req/s, workers={COLD_WORKERS})"
+        f"({cold_rps:.2f} req/s, in process)"
     )
     print(
         f"  warm daemon: {len(responses)} requests in "

@@ -5,15 +5,12 @@ paper's workload: the five Table 1 programs (plus synthetic filler)
 pushed through ``repro.service.run_batch`` with a portfolio ladder and
 a shared result cache.  Reported shape: the warm-cache batch must be
 orders of magnitude faster than the cold batch (every program served
-from the fingerprint-keyed cache), and cold-batch throughput should
-scale with the worker pool.
+from the fingerprint-keyed cache).  The batch runs in process; the
+warm worker pool is the daemon's, measured by
+``bench_daemon_throughput.py``.
 
 Run:  pytest benchmarks/bench_service_throughput.py --benchmark-only -s
 """
-
-import os
-
-import pytest
 
 from repro.bench import random_suite
 from repro.service import PortfolioConfig, ResultCache, run_batch
@@ -23,20 +20,13 @@ from benchmarks.conftest import HARNESS_SEED
 #: The ladder measured here (the acceptance-criteria set).
 PORTFOLIO = ("enhanced", "cbj", "weighted")
 
-#: Worker-pool sizes for the cold batch; ``REPRO_BENCH_WORKERS=2``
-#: (say) turns the scaling sweep into a single CI smoke run.
-WORKER_COUNTS = tuple(
-    int(entry) for entry in os.environ.get("REPRO_BENCH_WORKERS", "1,4").split(",")
-)
-
 
 def _batch_programs(programs):
     """Five paper benchmarks plus deterministic synthetic filler."""
     return list(programs.values()) + list(random_suite(5, seed=HARNESS_SEED))
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_cold_batch_throughput(benchmark, workers, programs, build_options):
+def test_cold_batch_throughput(benchmark, programs, build_options):
     """Cold-cache batch: every program runs the full portfolio ladder."""
     batch = _batch_programs(programs)
     config = PortfolioConfig(schemes=PORTFOLIO, seed=HARNESS_SEED)
@@ -48,7 +38,6 @@ def test_cold_batch_throughput(benchmark, workers, programs, build_options):
             config,
             options=build_options,
             cache=ResultCache(),
-            workers=workers,
         )
 
     benchmark.pedantic(serve, rounds=1, iterations=1)
@@ -57,12 +46,11 @@ def test_cold_batch_throughput(benchmark, workers, programs, build_options):
     assert report.cache_hits == 0
     benchmark.extra_info.update(
         {
-            "workers": workers,
             "throughput_programs_per_s": round(report.throughput, 2),
             "scheme_wins": report.scheme_wins(),
         }
     )
-    print(f"\n[service cold, workers={workers}]")
+    print("\n[service cold]")
     print(report.format())
 
 
@@ -71,14 +59,12 @@ def test_warm_batch_is_cache_bound(benchmark, programs, build_options):
     batch = _batch_programs(programs)
     config = PortfolioConfig(schemes=PORTFOLIO, seed=HARNESS_SEED)
     cache = ResultCache()
-    cold = run_batch(
-        batch, config, options=build_options, cache=cache, workers=4
-    )
+    cold = run_batch(batch, config, options=build_options, cache=cache)
     report_holder = {}
 
     def serve():
         report_holder["report"] = run_batch(
-            batch, config, options=build_options, cache=cache, workers=4
+            batch, config, options=build_options, cache=cache
         )
 
     benchmark.pedantic(serve, rounds=1, iterations=1)

@@ -31,7 +31,6 @@ def main() -> None:
         config,
         options=benchmark_build_options(),
         cache=cache,
-        workers=2,
     )
     for result in report.results:
         print(
@@ -48,7 +47,6 @@ def main() -> None:
         config,
         options=benchmark_build_options(),
         cache=cache,
-        workers=2,
     )
     print(repeat.format())
     stats = cache.stats

@@ -14,8 +14,8 @@ scheme; this package turns it into a serving stack:
   run one after another in priority order, the first exact answer
   wins, a cooperative deadline bounds the worst case and the weighted
   branch & bound is the fallback; with a per-scheme outcome table.
-* :mod:`repro.service.batch` -- many programs fanned across a worker
-  pool, producing a throughput/latency report.
+* :mod:`repro.service.batch` -- many programs served in process (or
+  through a daemon), producing a throughput/latency report.
 * :mod:`repro.service.evaluate` -- the ``evaluate`` request kind:
   price a program's layouts under any registered cost model with
   per-request cache-hierarchy overrides (one deployment, many
@@ -23,6 +23,8 @@ scheme; this package turns it into a serving stack:
 * :mod:`repro.service.daemon` -- the resident solver daemon: an async
   streaming loop over a persistent warm worker pool, fronted by a
   *sharded* persistent result cache with backpressure.
+* :mod:`repro.service.workers` -- the warm worker processes behind
+  the daemon's pool and the ``evaluate`` batch's pool.
 * :mod:`repro.service.stream` -- the daemon's JSON-lines wire protocol
   and the synchronous pipelining :class:`DaemonClient`, which talks to
   one daemon over its unix socket.

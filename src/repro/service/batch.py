@@ -1,24 +1,24 @@
 """Batch front end: many programs through the portfolio, with a report.
 
-``run_batch`` fans a list of programs across a process pool (each
-worker runs the full portfolio ladder for its program), consults the
-shared result cache in the parent before dispatching and stores fresh
-results after, and aggregates everything into a
-:class:`BatchReport` -- throughput, latency percentiles, cache service
-fraction and the per-scheme win table the CLI prints.
+``run_batch`` serves a list of programs one after another in process
+through one :class:`~repro.service.portfolio.PortfolioSolver` (which
+looks each request up in the optional shared result cache before it
+runs the ladder and stores exact answers after), and aggregates the
+outcome into a :class:`BatchReport` -- throughput, latency
+percentiles, cache service fraction and the per-scheme win table the
+CLI prints.  Parallel batch serving goes through the resident daemon:
+``run_batch(..., client=...)`` pipelines the batch to its warm pool.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.ir.program import Program
 from repro.opt.network_builder import BuildOptions
 from repro.service.cache import ResultCache
-from repro.service.fingerprint import request_fingerprint
 from repro.service.portfolio import PortfolioConfig, PortfolioResult, PortfolioSolver
 
 
@@ -29,12 +29,10 @@ class BatchReport:
     Attributes:
         results: one :class:`PortfolioResult` per program, input order.
         wall_seconds: end-to-end batch wall-clock time.
-        workers: size of the program-level worker pool used.
     """
 
     results: list[PortfolioResult]
     wall_seconds: float
-    workers: int
 
     @property
     def total(self) -> int:
@@ -120,7 +118,7 @@ class BatchReport:
         lines.append(
             f"  programs: {self.total} ({exact} exact), "
             f"wall {self.wall_seconds:.2f}s, "
-            f"{self.throughput:.2f} programs/s, workers={self.workers}"
+            f"{self.throughput:.2f} programs/s"
         )
         latencies = self.latencies()
         if latencies:
@@ -145,48 +143,19 @@ class BatchReport:
         return "\n".join(lines)
 
 
-#: Per-process solver reuse: a pool worker serves many map items, so
-#: rebuilding the portfolio plumbing per program is pure waste.
-_WORKER_SOLVERS: dict[tuple, PortfolioSolver] = {}
-
-
-def _worker_solver(
-    config: PortfolioConfig, options: BuildOptions
-) -> PortfolioSolver:
-    key = (repr(config), repr(options))
-    solver = _WORKER_SOLVERS.get(key)
-    if solver is None:
-        if len(_WORKER_SOLVERS) >= 8:  # different batches, same process
-            _WORKER_SOLVERS.clear()
-        solver = PortfolioSolver(config, options=options)
-        _WORKER_SOLVERS[key] = solver
-    return solver
-
-
-def _solve_one(
-    program: Program,
-    config: PortfolioConfig,
-    options: BuildOptions,
-    fingerprint: str,
-) -> dict:
-    """Pool worker: solve one program, return the serialized result."""
-    solver = _worker_solver(config, options)
-    return solver.optimize(program, fingerprint=fingerprint).to_dict()
-
-
 def run_batch(
     programs: Sequence[Program],
     config: PortfolioConfig | None = None,
     options: BuildOptions | None = None,
     cache: ResultCache | None = None,
-    workers: int = 1,
     client=None,
 ) -> BatchReport:
     """Serve a batch of programs and aggregate the outcome.
 
-    Cache lookups and stores happen in the parent (the pool workers are
-    stateless), so one shared cache serves the whole batch and repeat
-    programs inside a single batch are solved only once.
+    One shared cache serves the whole batch, so a program repeated
+    inside it is solved once and its twins are served from the cache
+    (when the first answer was exact: a best-effort answer is never
+    cached).  Without a cache every program is solved.
 
     Args:
         programs: the request list (order is preserved in the report).
@@ -194,87 +163,22 @@ def run_batch(
             ladder).
         options: network-construction options shared by every request.
         cache: optional shared result cache.
-        workers: program-level process pool size; 1 serves the batch
-            in-process.
         client: optional :class:`repro.service.stream.DaemonClient`;
             when given, the whole batch is pipelined through the
             resident daemon instead of being solved here, and
-            ``config``/``options``/``cache``/``workers`` are the
-            *daemon's* concern (the local values are ignored).  Batch
-            mode then is a thin client of the same serving loop.
+            ``config``/``options``/``cache`` are the *daemon's*
+            concern (the local values are ignored).  Batch mode then
+            is a thin client of the same serving loop.
 
     Raises:
-        ValueError: for a non-positive worker count.
         RuntimeError: when the daemon answers a request with an error.
     """
     if client is not None:
         return _run_batch_via_daemon(programs, client)
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    config = config if config is not None else PortfolioConfig()
-    options = options if options is not None else BuildOptions()
-    token = config.token()
     start = time.perf_counter()
-
-    slots: list[PortfolioResult | None] = [None] * len(programs)
-    pending: list[tuple[int, Program, str]] = []
-    seen_fingerprints: dict[str, int] = {}
-    duplicates: list[tuple[int, int]] = []
-    for index, program in enumerate(programs):
-        fingerprint = request_fingerprint(program, options)
-        cached = cache.get(fingerprint, token) if cache is not None else None
-        if cached is not None:
-            result = PortfolioResult.from_dict(cached, from_cache=True)
-            result.program = program.name  # entry may be a renamed twin
-            slots[index] = result
-            continue
-        if fingerprint in seen_fingerprints:
-            duplicates.append((index, seen_fingerprints[fingerprint]))
-            continue
-        seen_fingerprints[fingerprint] = index
-        pending.append((index, program, fingerprint))
-
-    if pending:
-        if workers == 1 or len(pending) == 1:
-            solver = PortfolioSolver(config, options=options)
-            fresh = [
-                solver.optimize(program, fingerprint=fingerprint)
-                for _, program, fingerprint in pending
-            ]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                serialized = list(
-                    pool.map(
-                        _solve_one,
-                        [program for _, program, _ in pending],
-                        [config] * len(pending),
-                        [options] * len(pending),
-                        [fingerprint for _, _, fingerprint in pending],
-                    )
-                )
-            fresh = [PortfolioResult.from_dict(data) for data in serialized]
-        for (index, _, fingerprint), result in zip(pending, fresh):
-            slots[index] = result
-            if cache is not None and result.exact:
-                # Mirror PortfolioSolver: never freeze a deadline-shaped
-                # best-effort answer into the cache.
-                cache.put(fingerprint, token, result.to_dict())
-
-    # Duplicate requests inside the batch reuse the first occurrence's
-    # result (reported as cache-served: the ladder ran once).
-    for index, source in duplicates:
-        original = slots[source]
-        assert original is not None
-        duplicate = PortfolioResult.from_dict(original.to_dict(), from_cache=True)
-        duplicate.program = programs[index].name  # may be a renamed twin
-        slots[index] = duplicate
-
-    results = [result for result in slots if result is not None]
-    return BatchReport(
-        results=results,
-        wall_seconds=time.perf_counter() - start,
-        workers=workers,
-    )
+    solver = PortfolioSolver(config, options=options, cache=cache)
+    results = [solver.optimize(program) for program in programs]
+    return BatchReport(results=results, wall_seconds=time.perf_counter() - start)
 
 
 def _run_batch_via_daemon(programs: Sequence[Program], client) -> BatchReport:
@@ -293,8 +197,4 @@ def _run_batch_via_daemon(programs: Sequence[Program], client) -> BatchReport:
         )
         result.program = program.name
         results.append(result)
-    return BatchReport(
-        results=results,
-        wall_seconds=time.perf_counter() - start,
-        workers=0,  # the daemon's pool did the work, not a local one
-    )
+    return BatchReport(results=results, wall_seconds=time.perf_counter() - start)

@@ -2,13 +2,14 @@
 
 Batch mode::
 
-    python -m repro.service --programs all --portfolio enhanced,cbj,weighted --workers 4
+    python -m repro.service --programs all --portfolio enhanced,cbj,weighted
 
 Takes a list of programs (the five Table 1 benchmarks by name, plus
-optional synthetic load from the random generator), serves each through
-the portfolio's scheme ladder with a shared on-disk result cache, and prints the
-per-program outcomes followed by the batch throughput report.  Run the
-same command twice: the second run is served from the cache.
+optional synthetic load from the random generator), serves each in
+process through the portfolio's scheme ladder with a shared on-disk
+result cache, and prints the per-program outcomes followed by the batch
+throughput report.  Run the same command twice: the second run is
+served from the cache.
 
 Daemon mode::
 
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="program-level worker pool size (default 2)",
+        help="warm worker pool size for --serve and --evaluate (default 2)",
     )
     parser.add_argument(
         "--deadline",
@@ -394,7 +395,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(
         f"repro layout service v{__version__} -- "
         f"portfolio [{', '.join(config.schemes)}], "
-        f"workers={args.workers}, deadline={args.deadline:.0f}s, "
+        f"deadline={args.deadline:.0f}s, "
         f"cache={source}"
     )
     report = run_batch(
@@ -402,7 +403,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         config=config,
         options=benchmark_build_options(),
         cache=cache,
-        workers=args.workers,
         client=client,
     )
     for result in report.results:

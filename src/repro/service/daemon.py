@@ -4,8 +4,8 @@
 invocation paid process-pool spin-up, re-read the JSON cache from
 disk, and exited.  The daemon keeps all of that resident:
 
-* a **persistent** :class:`~concurrent.futures.ProcessPoolExecutor`
-  whose workers hold warm state -- a reusable
+* a **persistent** pool of warm workers (:mod:`repro.service.workers`)
+  -- each holds a reusable
   :class:`~repro.service.portfolio.PortfolioSolver` and
   :class:`~repro.service.evaluate.EvaluationService` instance, each
   built once around one optimizer pipeline -- so a miss pays only the
@@ -51,7 +51,6 @@ import contextlib
 import hashlib
 import logging
 import marshal
-import multiprocessing
 import os
 import stat
 import sys
@@ -69,7 +68,6 @@ from repro.obs import (
     CONTENT_TYPE,
     MetricsRegistry,
     TraceJsonWriter,
-    capture,
     prometheus_text,
 )
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS
@@ -79,14 +77,11 @@ from repro.opt.ladder import preload_schemes
 from repro.opt.network_builder import BuildOptions
 from repro.service import stream
 from repro.service.cache import ShardedResultCache
-from repro.service.evaluate import (
-    EvaluationRequest,
-    EvaluationService,
-    hierarchy_from_overrides,
-)
+from repro.service.evaluate import EvaluationRequest, hierarchy_from_overrides
 from repro.service.fingerprint import request_fingerprint
-from repro.service.portfolio import PortfolioConfig, PortfolioSolver
+from repro.service.portfolio import PortfolioConfig
 from repro.service.stream import ProtocolError
+from repro.service.workers import noop, start_pool, worker_evaluate, worker_solve
 from repro.simul.batchwalk import HAVE_NUMPY
 
 logger = logging.getLogger(__name__)
@@ -137,11 +132,7 @@ class DaemonConfig:
             raise ValueError("save_every must be positive")
 
 
-# -- warm worker processes ----------------------------------------------
-
-#: Per-process state of one pool worker, built once by the initializer
-#: and reused for every request the worker ever serves.
-_WORKER_STATE: dict | None = None
+# -- the wire memo -------------------------------------------------------
 
 
 class _BoundedMemo(OrderedDict):
@@ -211,55 +202,6 @@ class _SolveState:
     program: Program | None
     fingerprint: str
     token: str
-
-
-def _init_worker(config: PortfolioConfig, options: BuildOptions) -> None:
-    """Pool initializer: build the reusable per-process serving state."""
-    global _WORKER_STATE
-    _WORKER_STATE = {
-        "solver": PortfolioSolver(config, options=options),
-        "evaluator": EvaluationService(config=config, options=options),
-    }
-
-
-def _worker_solve(program: Program, fingerprint: str) -> dict:
-    """Serve one solve miss on a warm worker.
-
-    The solve runs inside an observability capture: the worker's span
-    tree and metric delta ship back piggybacked on the result
-    (``telemetry`` is a sibling of ``result``, so it is never cached
-    and never reaches the client wire form).
-    """
-    with capture("worker_solve", fingerprint=fingerprint) as telemetry:
-        result = _WORKER_STATE["solver"].optimize(
-            program, fingerprint=fingerprint
-        )
-    return {
-        "result": result.to_dict(),
-        "exact": result.exact,
-        "engine": result.engine,
-        "telemetry": telemetry.telemetry(),
-    }
-
-
-def _worker_evaluate(request: EvaluationRequest) -> dict:
-    """Serve one evaluate miss on a warm worker."""
-    with capture("worker_evaluate") as telemetry:
-        result = _WORKER_STATE["evaluator"].evaluate(request)
-    return {
-        "result": result.to_dict(),
-        "exact": result.exact,
-        "engine": result.engine,
-        "telemetry": telemetry.telemetry(),
-    }
-
-
-def _pool_context():
-    """``fork`` keeps worker start cheap and warm (inherited imports);
-    platforms without it use the default context."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
 
 
 # -- the daemon ----------------------------------------------------------
@@ -354,11 +296,8 @@ class SolverDaemon:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._daemon_config.workers,
-                mp_context=_pool_context(),
-                initializer=_init_worker,
-                initargs=(self._config, self._options),
+            self._pool = start_pool(
+                self._daemon_config.workers, self._config, self._options
             )
         return self._pool
 
@@ -379,7 +318,7 @@ class SolverDaemon:
         preload_schemes(self._config.schemes)
         pool = self._ensure_pool()
         # A no-op round through every worker forces initializer runs.
-        for _ in pool.map(_noop, range(self._daemon_config.workers)):
+        for _ in pool.map(noop, range(self._daemon_config.workers)):
             pass
 
     def close(self) -> None:
@@ -760,7 +699,7 @@ class SolverDaemon:
                 state.fingerprint,
                 state.token,
                 root,
-                _worker_solve,
+                worker_solve,
                 program,
                 state.fingerprint,
             )
@@ -806,7 +745,7 @@ class SolverDaemon:
             }
             return self._finish(root, payload, response, start)
         data = await self._dispatch(
-            fingerprint, token, root, _worker_evaluate, request
+            fingerprint, token, root, worker_evaluate, request
         )
         with root.phase("encode"):
             result = dict(data["result"])
@@ -1134,11 +1073,6 @@ def reclaim_stale_socket(path: str) -> None:
             f"socket {path} is held by a live daemon; "
             "refusing to unlink it"
         )
-
-
-def _noop(_: int) -> None:
-    """Pool warm-up probe (must be a picklable top-level function)."""
-    return None
 
 
 def _adopt_worker_spans(parent, data: dict) -> None:

@@ -381,27 +381,6 @@ class EvaluationService:
         return result
 
 
-#: Per-process service reuse: a pool worker serves many map items, so
-#: rebuilding the evaluation/portfolio plumbing per request is waste.
-_WORKER_SERVICES: dict[tuple, "EvaluationService"] = {}
-
-
-def _evaluate_one(
-    request: EvaluationRequest,
-    config: PortfolioConfig,
-    options: BuildOptions,
-) -> dict:
-    """Pool worker: serve one request, return the serialized result."""
-    key = (repr(config), repr(options))
-    service = _WORKER_SERVICES.get(key)
-    if service is None:
-        if len(_WORKER_SERVICES) >= 8:  # different batches, same process
-            _WORKER_SERVICES.clear()
-        service = EvaluationService(config=config, options=options)
-        _WORKER_SERVICES[key] = service
-    return service.evaluate(request).to_dict()
-
-
 def run_evaluation_batch(
     requests: Sequence[EvaluationRequest],
     config: PortfolioConfig | None = None,
@@ -412,11 +391,14 @@ def run_evaluation_batch(
 ) -> list[EvaluationResult]:
     """Serve a list of evaluation requests, preserving input order.
 
-    Mirrors :func:`repro.service.batch.run_batch`: cache lookups and
-    stores happen in the parent (pool workers are stateless), and
-    ``workers > 1`` fans cache misses across a process pool.  With
-    ``client`` the batch is instead pipelined through a resident
-    daemon (every other argument is then the daemon's concern).
+    With ``workers == 1`` one :class:`EvaluationService` serves the
+    requests in process around the shared cache, so a miss also reuses
+    a cached optimization.  ``workers > 1`` looks every request up in
+    the parent, fans the misses across a pool of warm workers
+    (:mod:`repro.service.workers`, which hold no cache) and stores
+    their exact answers; a lone miss is priced in process instead.
+    With ``client`` the batch is pipelined through a resident daemon
+    (every other argument is then the daemon's concern).
 
     Raises:
         ValueError: for a non-positive worker count.
@@ -428,6 +410,9 @@ def run_evaluation_batch(
         raise ValueError("workers must be positive")
     config = config if config is not None else PortfolioConfig()
     options = options if options is not None else BuildOptions()
+    if workers == 1:
+        service = EvaluationService(config=config, options=options, cache=cache)
+        return [service.evaluate(request) for request in requests]
     portfolio_token = config.token()
 
     slots: list[EvaluationResult | None] = [None] * len(requests)
@@ -445,33 +430,22 @@ def run_evaluation_batch(
             continue
         pending.append((index, request, fingerprint, token))
 
-    if pending:
-        if workers == 1 or len(pending) == 1:
-            # In-process: hand the shared cache to the service, so the
-            # embedded portfolio reuses cached *optimization* results
-            # (the expensive half of an evaluate miss), duplicate
-            # requests within the batch are served once, and the
-            # service does its own stores.
-            service = EvaluationService(config=config, options=options, cache=cache)
-            for index, request, _, _ in pending:
-                slots[index] = service.evaluate(request)
-        else:
-            from concurrent.futures import ProcessPoolExecutor
+    misses = [request for _, request, _, _ in pending]
+    if len(misses) > 1:
+        from repro.service.workers import start_pool, worker_evaluate
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                serialized = list(
-                    pool.map(
-                        _evaluate_one,
-                        [request for _, request, _, _ in pending],
-                        [config] * len(pending),
-                        [options] * len(pending),
-                    )
-                )
-            for (index, _, fingerprint, token), data in zip(pending, serialized):
-                result = EvaluationResult.from_dict(data)
-                slots[index] = result
-                if cache is not None and result.exact:
-                    cache.put(fingerprint, token, result.to_dict())
+        with start_pool(workers, config, options) as pool:
+            fresh = [
+                EvaluationResult.from_dict(data["result"])
+                for data in pool.map(worker_evaluate, misses)
+            ]
+    else:  # no pool for a lone miss; priced like a worker would
+        service = EvaluationService(config=config, options=options)
+        fresh = [service.evaluate(request) for request in misses]
+    for (index, _, fingerprint, token), result in zip(pending, fresh):
+        slots[index] = result
+        if cache is not None and result.exact:
+            cache.put(fingerprint, token, result.to_dict())
 
     return [result for result in slots if result is not None]
 

@@ -149,8 +149,10 @@ class PortfolioSolver:
     ) -> PortfolioResult:
         """Serve one request: cache lookup, else the pipeline, then cache store.
 
-        ``fingerprint`` lets batch callers that already fingerprinted
-        the request (for dedup) skip the recomputation.
+        ``fingerprint`` lets callers that already fingerprinted the
+        request (the daemon's warm worker,
+        :class:`~repro.service.evaluate.EvaluationService`) skip the
+        recomputation.
         """
         if fingerprint is None:
             fingerprint = request_fingerprint(program, self._options)

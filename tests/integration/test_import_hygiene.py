@@ -49,6 +49,25 @@ assert outcome.exact
 print(json.dumps(sorted(sys.modules)))
 """
 
+#: A local solve batch runs in process: no process pool machinery.
+NOT_ON_LOCAL_BATCH_PATH = ("multiprocessing", "concurrent.futures")
+
+_LOCAL_BATCH_PROBE = """
+import json, sys
+from repro.bench import random_suite
+from repro.service.batch import run_batch
+from repro.service.cache import ResultCache
+from repro.service.portfolio import PortfolioConfig
+
+report = run_batch(
+    list(random_suite(2, seed=3)),
+    PortfolioConfig(schemes=("enhanced",)),
+    cache=ResultCache(),
+)
+assert report.total == 2 and all(result.exact for result in report.results)
+print(json.dumps(sorted(sys.modules)))
+"""
+
 PACKAGES = ["repro"] + sorted(
     info.name
     for info in pkgutil.walk_packages(repro.__path__, "repro.")
@@ -57,16 +76,26 @@ PACKAGES = ["repro"] + sorted(
 
 
 def test_optimize_path_loads_only_what_it_uses():
+    loaded = _modules_loaded_by(_OPTIMIZE_PROBE)
+    assert "repro.opt.optimizer" in loaded
+    assert [name for name in NOT_ON_OPTIMIZE_PATH if name in loaded] == []
+
+
+def _modules_loaded_by(probe: str) -> set[str]:
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", _OPTIMIZE_PROBE],
+        [sys.executable, "-c", probe],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    loaded = set(json.loads(out.stdout.splitlines()[-1]))
-    assert "repro.opt.optimizer" in loaded
-    assert [name for name in NOT_ON_OPTIMIZE_PATH if name in loaded] == []
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_local_batch_starts_no_process_pool():
+    loaded = _modules_loaded_by(_LOCAL_BATCH_PROBE)
+    assert "repro.service.batch" in loaded
+    assert [name for name in NOT_ON_LOCAL_BATCH_PATH if name in loaded] == []
 
 
 @pytest.mark.parametrize("name", PACKAGES)

@@ -45,18 +45,17 @@ class TestZeroWallClock:
         report = BatchReport(
             results=[_result(f"p{i}") for i in range(4)],
             wall_seconds=0.0,
-            workers=1,
         )
         assert math.isfinite(report.throughput)
         assert report.throughput > 0.0
 
     def test_throughput_zero_only_for_empty_batches(self):
-        empty = BatchReport(results=[], wall_seconds=0.0, workers=1)
+        empty = BatchReport(results=[], wall_seconds=0.0)
         assert empty.throughput == 0.0
 
     def test_format_survives_zero_wall_clock(self):
         report = BatchReport(
-            results=[_result()], wall_seconds=0.0, workers=1
+            results=[_result()], wall_seconds=0.0
         )
         text = report.format()
         assert "programs/s" in text
@@ -67,19 +66,18 @@ class TestZeroWallClock:
         report = BatchReport(
             results=[_result(seconds=-0.5), _result(seconds=0.25)],
             wall_seconds=1.0,
-            workers=1,
         )
         assert report.latencies() == [0.0, 0.25]
         assert report.latency_percentile(0.0) == 0.0
         assert report.latency_percentile(1.0) == 0.25
 
     def test_percentile_fraction_validated(self):
-        report = BatchReport(results=[_result()], wall_seconds=1.0, workers=1)
+        report = BatchReport(results=[_result()], wall_seconds=1.0)
         with pytest.raises(ValueError):
             report.latency_percentile(1.5)
 
     def test_percentile_of_empty_batch_is_zero(self):
-        report = BatchReport(results=[], wall_seconds=1.0, workers=1)
+        report = BatchReport(results=[], wall_seconds=1.0)
         assert report.latency_percentile(0.5) == 0.0
 
     def test_percentile_extremes_are_min_and_max(self):
@@ -88,14 +86,13 @@ class TestZeroWallClock:
                 _result(seconds=s) for s in (0.4, 0.1, 0.3, 0.2)
             ],
             wall_seconds=1.0,
-            workers=1,
         )
         assert report.latency_percentile(0.0) == 0.1
         assert report.latency_percentile(1.0) == 0.4
 
     def test_single_item_batch_answers_that_item_for_every_fraction(self):
         report = BatchReport(
-            results=[_result(seconds=0.125)], wall_seconds=1.0, workers=1
+            results=[_result(seconds=0.125)], wall_seconds=1.0
         )
         for fraction in (0.0, 0.25, 0.5, 0.99, 1.0):
             assert report.latency_percentile(fraction) == 0.125
@@ -104,7 +101,6 @@ class TestZeroWallClock:
         report = BatchReport(
             results=[_result(seconds=s) for s in (0.3, 0.1, 0.2)],
             wall_seconds=1.0,
-            workers=1,
         )
         assert report.latency_percentile(0.5) == 0.2
         # Sorting happened once; repeated queries reuse the cache.

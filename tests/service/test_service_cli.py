@@ -7,8 +7,6 @@ import sys
 import threading
 import time
 
-import pytest
-
 import repro
 from repro import __version__
 from repro.bench import build_benchmark, random_suite
@@ -158,34 +156,32 @@ class TestBatchApi:
         programs = [build_benchmark("MxM"), build_benchmark("MxM")]
         cache = ResultCache()
         config = PortfolioConfig(schemes=("enhanced",))
-        first = run_batch(programs, config, cache=cache, workers=1)
+        first = run_batch(programs, config, cache=cache)
         assert first.total == 2
         assert first.cache_hits == 1  # in-batch duplicate
-        second = run_batch(programs, config, cache=cache, workers=1)
+        second = run_batch(programs, config, cache=cache)
         assert second.cached_fraction == 1.0
         assert "100.0%" in second.format()
 
-    def test_worker_pool_path(self):
-        """workers > 1 exercises the process pool and result pickling."""
-        programs = list(random_suite(3, seed=11))
-        config = PortfolioConfig(schemes=("enhanced", "cbj"))
-        report = run_batch(programs, config, workers=2)
-        assert report.total == 3
-        assert all(result.exact for result in report.results)
-        assert report.throughput > 0
-        assert set(report.scheme_wins()) <= {"enhanced", "cbj"}
+    def test_repeat_without_a_cache_is_solved_again(self):
+        """Without a cache nothing is shared: a repeated program is
+        solved twice, to the same layouts."""
+        program = build_benchmark("MxM")
+        config = PortfolioConfig(schemes=("enhanced",))
+        report = run_batch([program, program], config, cache=None)
+        first, second = report.results
+        assert first.exact and second.exact
+        assert not first.from_cache and not second.from_cache
+        assert report.cache_hits == 0
+        assert first.layouts == second.layouts
 
     def test_order_is_preserved(self):
         programs = list(random_suite(4, seed=5))
         config = PortfolioConfig(schemes=("enhanced",))
-        report = run_batch(programs, config, workers=1)
+        report = run_batch(programs, config)
         assert [r.program for r in report.results] == [
             p.name for p in programs
         ]
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError):
-            run_batch([], workers=0)
 
 
 class TestObservabilityFlags:

@@ -153,6 +153,27 @@ class TestEvaluationService:
         with pytest.raises(ValueError, match="workers"):
             run_evaluation_batch([], workers=0)
 
+    def test_in_process_batch_looks_each_request_up_once(self):
+        """Each fresh request misses once on its evaluate token and
+        once on its solve token, and stores both; a warm rerun is one
+        hit per request."""
+        programs = [
+            parse_program(SOURCE.replace("64", str(n)).replace("63", str(n - 1)))
+            for n in (32, 48, 80)
+        ]
+        requests = [
+            EvaluationRequest(program=program, cost_model="analytic")
+            for program in programs
+        ]
+        cache = ResultCache()
+        cold = run_evaluation_batch(requests, config=_config(), cache=cache)
+        assert not any(result.from_cache for result in cold)
+        assert (cache.stats.misses, cache.stats.stores) == (6, 6)
+        warm = run_evaluation_batch(requests, config=_config(), cache=cache)
+        assert all(result.from_cache for result in warm)
+        assert [r.value for r in warm] == [r.value for r in cold]
+        assert (cache.stats.hits, cache.stats.misses) == (3, 6)
+
     def test_cache_hit_reports_lookup_latency(self, tmp_path):
         cache = ResultCache(capacity=16, path=str(tmp_path / "cache.json"))
         service = EvaluationService(config=_config(), cache=cache)
