@@ -17,7 +17,11 @@ daemon twice and asserts:
   every response's span tree contains a ``cache_lookup`` phase;
 * a third, untraced pass of the solves (the hit path a build takes,
   answered in the daemon's read loop) is served wholly from the cache
-  with the first pass's results;
+  with the first pass's results, and so is a fourth, its repeat: the
+  third pass keys each line's bytes, so every solve of the fourth is
+  an exact-bytes hit (``stats()["wire_memo"]["exact_hits"]``) -- or,
+  under ``--trace-log``, none is, since a trace log keeps every
+  request on the span-recording path;
 * the ``metrics`` request kind answers with parseable Prometheus text
   covering the cache, engine, and portfolio subsystems, and the
   cache-hit counters strictly increase between the two passes;
@@ -137,6 +141,10 @@ def main(argv: list[str]) -> int:
         untraced = client.request_many(
             [solve_request(program) for program in programs]
         )
+        exact_before = client.stats()["wire_memo"]["exact_hits"]
+        repeat = client.request_many(
+            [solve_request(program) for program in programs]
+        )
         stats = client.stats()
 
     failures = 0
@@ -179,18 +187,30 @@ def main(argv: list[str]) -> int:
             print(f"FAIL: payload drift for {before['result'].get('program')}")
             return 1
 
-    # The untraced pass takes the daemon's untraced hit path (no span
-    # tree; the traced passes above never run it).
-    for program, response, before in zip(programs, untraced, first[::2]):
-        if not (response.get("ok") and response.get("from_cache")):
-            print(f"FAIL: untraced solve of {program.name} not served "
-                  f"from cache: {response}")
-            return 1
-        if "trace" in response or response["result"] != before["result"]:
-            print(f"FAIL: untraced hit for {program.name} differs from pass 1")
-            return 1
-    print(f"OK: untraced pass: {len(untraced)}/{len(untraced)} from cache, "
-          "results equal to pass 1")
+    # The untraced passes take the daemon's untraced hit paths (no
+    # span tree; the traced passes above never run them).
+    for program, response, again, before in zip(
+        programs, untraced, repeat, first[::2]
+    ):
+        for reply in (response, again):
+            if not (reply.get("ok") and reply.get("from_cache")):
+                print(f"FAIL: untraced solve of {program.name} not served "
+                      f"from cache: {reply}")
+                return 1
+            if "trace" in reply or reply["result"] != before["result"]:
+                print(f"FAIL: untraced hit for {program.name} differs "
+                      "from pass 1")
+                return 1
+    print(f"OK: untraced passes: 2 x {len(untraced)}/{len(untraced)} from "
+          "cache, results equal to pass 1")
+    exact = stats["wire_memo"]["exact_hits"] - exact_before
+    # A trace log keeps every request on the span-recording path.
+    wanted = 0 if trace_log is not None else len(repeat)
+    if exact != wanted:
+        print(f"FAIL: repeat untraced pass took {exact} exact-bytes hits; "
+              f"expected {wanted}")
+        return 1
+    print(f"OK: repeat untraced pass: {exact}/{len(repeat)} exact-bytes hits")
 
     engines = stats.get("engines", {})
     print(f"daemon engines: {engines}")

@@ -27,13 +27,19 @@ disk, and exited.  The daemon keeps all of that resident:
   that pipelines a whole batch before reading cannot deadlock it;
 * **in-flight deduplication**: concurrent identical misses (same
   fingerprint and config token) share one worker dispatch;
-* a **decode-free hit path**: a bounded memo maps a digest of a
-  request's program wire form to its request fingerprint, so a
-  repeat solve answers from the cache without rebuilding the
+* a **decode-free hit path** in two forms, both over one bounded
+  memo.  A repeat solve line in the compact form
+  :class:`~repro.service.stream.DaemonClient` writes is answered from
+  its bytes: the SHA-256 of everything after its id finds the memo
+  entry, one cache lookup confirms the answer, and the reply is
+  written around the ``result`` body encoded on an earlier hit -- no
+  JSON decode, no wire key, no JSON encode of the result.  Any other
+  solve line (traced, another id form, extra fields) is decoded, and
+  a SHA-256 over :mod:`marshal` bytes of its program wire with the
+  objects' keys sorted (see :func:`wire_memo_key`) finds the
+  request fingerprint, so the cache answers without rebuilding the
   :class:`~repro.ir.program.Program` (it is decoded on first sight,
-  and again only when the cache no longer holds the answer).  The
-  digest is a SHA-256 over :mod:`marshal` bytes of the wire with its
-  objects' keys sorted (see :func:`wire_memo_key`);
+  and again only when the cache no longer holds the answer);
 * **shutdown by cancellation**: a ``shutdown`` request cancels every
   stream waiting in its read loop; each stream still answers the
   requests it has in flight, the acknowledgement among them.
@@ -49,9 +55,11 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import hashlib
+import json
 import logging
 import marshal
 import os
+import re
 import stat
 import sys
 import threading
@@ -153,6 +161,37 @@ class _BoundedMemo(OrderedDict):
         self.move_to_end(key)
         while len(self) > self._capacity:
             self.popitem(last=False)
+
+
+@dataclass(slots=True)
+class _MemoEntry:
+    """What the wire memo knows of one program wire form: its request
+    fingerprint and ``name``, and -- once a repeat line was answered
+    from its bytes -- the encoded ``result`` body of a solve reply
+    together with the cached value it was encoded from."""
+
+    fingerprint: str
+    name: object
+    body: bytes | None = None
+    held: dict | None = None
+
+
+#: The compact head of a solve line as ``DaemonClient`` writes it:
+#: ``{"id":`` then ``null``, ``0`` or a nonzero integer of at most 18
+#: digits, then a comma and ``"kind":"solve",``.  Each of these ids
+#: re-encodes to its own bytes, so a reply can carry them verbatim.
+_ID_PREFIX = re.compile(
+    rb'\{"id":(null|0|-?[1-9][0-9]{0,17}),(?="kind":"solve",)'
+)
+
+#: An exact-bytes solve hit's reply, formatted around the id, the
+#: held ``result`` body and the latency: the bytes
+#: :func:`~repro.service.stream.encode_response` writes for the same
+#: reply dict.
+_EXACT_REPLY = (
+    b'{"id":%s,"ok":true,"kind":"solve","from_cache":true,'
+    b'"result":%s,"seconds":%s}\n'
+)
 
 
 def wire_memo_key(wire) -> bytes | None:
@@ -283,14 +322,18 @@ class SolverDaemon:
         self.engine_counters = {"bitset": 0, "native": 0}
         #: Error replies by reason code (every error reply carries one).
         self.error_counters = dict.fromkeys(stream.ERROR_REASONS, 0)
-        #: Wire memo: :func:`wire_memo_key` of a request's program wire
-        #: form -> its request fingerprint, filled only once the wire decoded
-        #: and fingerprinted, so a repeat skips both.  Bounded like the
+        #: Wire memo, two kinds of key to one :class:`_MemoEntry`:
+        #: :func:`wire_memo_key` of a request's program wire form,
+        #: filled only once the wire decoded and fingerprinted, so a
+        #: repeat skips both; and the SHA-256 of a solve line's bytes
+        #: after its id, filled by a cache hit on such a line, so a
+        #: repeat of those bytes skips the decode too.  Bounded like the
         #: result cache itself (capacity per shard x shards).
         self._wire_memo = _BoundedMemo(
             self._daemon_config.cache_capacity * self._daemon_config.shards
         )
-        self.wire_memo_counters = {"hits": 0, "misses": 0}
+        #: ``exact_hits`` is the share of ``hits`` found by line bytes.
+        self.wire_memo_counters = {"hits": 0, "misses": 0, "exact_hits": 0}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -579,16 +622,19 @@ class SolverDaemon:
             return Span(f"request:{kind}", attributes={"kind": kind})
         return NOOP_SPAN
 
+    def _observe_latency(self, kind: str, seconds: float) -> None:
+        self.registry.histogram(
+            "repro_request_seconds",
+            {"kind": kind},
+            help="Daemon request latency by request kind.",
+            bounds=DEFAULT_LATENCY_BUCKETS,
+        ).observe(seconds)
+
     def _finish(self, root, payload: dict, response: dict, start: float) -> dict:
         """Stamp latency, record it, and flush/attach the span tree."""
         seconds = time.perf_counter() - start
         response["seconds"] = seconds
-        self.registry.histogram(
-            "repro_request_seconds",
-            {"kind": response["kind"]},
-            help="Daemon request latency by request kind.",
-            bounds=DEFAULT_LATENCY_BUCKETS,
-        ).observe(seconds)
+        self._observe_latency(response["kind"], seconds)
         if root:
             root.set_attribute("id", payload.get("id"))
             root.set_attribute("from_cache", response.get("from_cache", False))
@@ -599,24 +645,97 @@ class SolverDaemon:
                 response["trace"] = root.to_dict()
         return response
 
-    def _memo_lookup(self, wire) -> tuple[bytes | None, str | None]:
-        """The wire form's memo key and its memoized fingerprint (None
-        on a memo miss, or when the wire cannot be keyed)."""
+    def _memo_lookup(self, wire) -> tuple[bytes | None, _MemoEntry | None]:
+        """The wire form's memo key and its memo entry (None on a memo
+        miss, or when the wire cannot be keyed)."""
         key = wire_memo_key(wire)  # None is never stored: always a miss
-        fingerprint = self._wire_memo.get(key)
-        self.wire_memo_counters["misses" if fingerprint is None else "hits"] += 1
-        return key, fingerprint
+        entry = self._wire_memo.get(key)
+        self.wire_memo_counters["misses" if entry is None else "hits"] += 1
+        return key, entry
 
-    def _fingerprint(
-        self, key: bytes | None, fingerprint: str | None, program: Program | None
-    ) -> str:
-        """The memoized fingerprint, or compute and memoize it from the
-        decoded ``program`` (so only a valid wire ever enters the memo)."""
-        if fingerprint is None:
-            fingerprint = request_fingerprint(program, self._options)
+    def _memo_entry(
+        self,
+        key: bytes | None,
+        entry: _MemoEntry | None,
+        wire: dict,
+        program: Program | None,
+    ) -> _MemoEntry:
+        """The memo entry, or compute and memoize one from the decoded
+        ``program`` (so only a valid wire ever enters the memo)."""
+        if entry is None:
+            entry = _MemoEntry(
+                request_fingerprint(program, self._options), wire["name"]
+            )
             if key is not None:
-                self._wire_memo[key] = fingerprint
-        return fingerprint
+                self._wire_memo[key] = entry
+        return entry
+
+    def _line_key(self, line: bytes) -> tuple[bytes, bytes, bytes] | None:
+        """``(id, rest, digest)`` of a solve line in the compact form
+        (:data:`_ID_PREFIX`): its id bytes, its bytes after the id and
+        their SHA-256, the key of an exact-bytes memo entry.  None for
+        any other line, and for every line when a trace log is kept
+        (each request then records a span tree, so takes the dict
+        path)."""
+        if self._trace_writer is not None:
+            return None
+        match = _ID_PREFIX.match(line)
+        if match is None:
+            return None
+        rest = line[match.end():]
+        return match.group(1), rest, hashlib.sha256(rest).digest()
+
+    def _answer_exact(
+        self, line: bytes, line_key: tuple[bytes, bytes, bytes]
+    ) -> bytes | _SolveState | None:
+        """A repeat solve line answered from its bytes: no decode, no
+        :func:`wire_memo_key`, no encode of the result.
+
+        None when the memo holds no entry for the line's bytes (the
+        line then takes the dict path).  Otherwise the reply line, or
+        -- when the cache no longer holds the answer -- the
+        :class:`_SolveState` of the miss, after the one cache lookup.
+        Counters move as a dict-path hit moves them.
+        """
+        start = time.perf_counter()
+        request_id, _, digest = line_key
+        entry = self._wire_memo.get(digest)
+        if entry is None:
+            return None
+        self.counters["requests"] += 1
+        self.counters["solve"] += 1
+        self.wire_memo_counters["hits"] += 1
+        self.wire_memo_counters["exact_hits"] += 1
+        token = self._config.token()
+        cached = self.cache.get(entry.fingerprint, token)
+        if cached is None:  # expired or evicted: serve the miss
+            # Decodes: its bytes after the id decoded in a keyed line.
+            payload = stream.decode_request(line)
+            return _SolveState(
+                payload, start, NOOP_SPAN, payload["program"], None,
+                entry.fingerprint, token,
+            )
+        self.counters["cache_served"] += 1
+        if entry.held is not cached:
+            result = dict(cached)
+            result["program"] = entry.name
+            entry.body = json.dumps(result, separators=(",", ":")).encode()
+            entry.held = cached
+        seconds = time.perf_counter() - start
+        self._observe_latency("solve", seconds)
+        return _EXACT_REPLY % (request_id, entry.body, repr(seconds).encode())
+
+    def _key_exact(self, line_key: tuple, entry: _MemoEntry) -> None:
+        """Key ``entry`` by a hit line's bytes after its id, when they
+        hold ``kind`` and ``program`` once each and nothing else: a
+        second ``id`` or ``kind``, a ``trace`` or any other field keeps
+        the line on the dict path."""
+        _, rest, digest = line_key
+        # Decodes, as the whole line did; objects decode to their
+        # (key, value) pairs, so a repeated key stays visible.
+        fields = json.loads(b"{" + rest, object_pairs_hook=list)
+        if sorted(key for key, _ in fields) == ["kind", "program"]:
+            self._wire_memo[digest] = entry
 
     async def _handle_solve(self, payload: dict) -> dict:
         """Serve one solve: from the cache at once, else under an
@@ -627,13 +746,17 @@ class SolverDaemon:
         async with self._semaphore():
             return await self._solve_miss(answer)
 
-    def _answer_solve(self, payload: dict) -> dict | _SolveState:
+    def _answer_solve(
+        self, payload: dict, line_key: tuple | None = None
+    ) -> dict | _SolveState:
         """A solve's synchronous half: wire memo, fingerprint, cache.
 
         Returns the reply when the cache answers (or the request is
         malformed), else the :class:`_SolveState` that
         :meth:`_solve_miss` dispatches from.  The read loop calls it
-        directly, so a hit costs no task and no permit.
+        directly, so a hit costs no task and no permit, and passes the
+        line's :meth:`_line_key`: a hit then keys the memo entry by the
+        line's bytes as well.
         """
         self.counters["requests"] += 1
         self.counters["solve"] += 1
@@ -642,19 +765,24 @@ class SolverDaemon:
         try:
             with root.phase("decode"):
                 wire = payload["program"]
-                key, fingerprint = self._memo_lookup(wire)
+                key, entry = self._memo_lookup(wire)
                 program = None
-                if fingerprint is None:
+                if entry is None:
                     program = stream.program_from_wire(wire)
             with root.phase("fingerprint"):
-                fingerprint = self._fingerprint(key, fingerprint, program)
+                entry = self._memo_entry(key, entry, wire, program)
                 token = self._config.token()
             state = _SolveState(
-                payload, start, root, wire, program, fingerprint, token
+                payload, start, root, wire, program, entry.fingerprint, token
             )
-            return self._cached_reply(state) or state
+            reply = self._cached_reply(state)
         except Exception as exc:
             return self._failure(payload.get("id"), exc)
+        if reply is None:
+            return state
+        if line_key is not None:
+            self._key_exact(line_key, entry)
+        return reply
 
     def _cached_reply(self, state: _SolveState) -> dict | None:
         """The solve's reply from the cache, or None when it has none:
@@ -723,11 +851,11 @@ class SolverDaemon:
         root = self._request_span(payload, "evaluate")
         with root.phase("decode"):
             wire = payload["program"]
-            key, fingerprint = self._memo_lookup(wire)
+            key, entry = self._memo_lookup(wire)
             program = stream.program_from_wire(wire)
             request = _evaluation_request(program, payload)
         with root.phase("fingerprint"):
-            fingerprint = self._fingerprint(key, fingerprint, program)
+            fingerprint = self._memo_entry(key, entry, wire, program).fingerprint
             token = request.token(self._config.token())
         with root.phase("cache_lookup"):
             cached = self.cache.get(fingerprint, token)
@@ -744,8 +872,11 @@ class SolverDaemon:
                 "result": result,
             }
             return self._finish(root, payload, response, start)
+        solved = None
+        if request.layouts is None:  # price a cached optimization as is
+            solved = self.cache.get(fingerprint, self._config.token())
         data = await self._dispatch(
-            fingerprint, token, root, worker_evaluate, request
+            fingerprint, token, root, worker_evaluate, request, solved
         )
         with root.phase("encode"):
             result = dict(data["result"])
@@ -839,9 +970,13 @@ class SolverDaemon:
         rest each as its own task, stream responses back in completion
         order.
 
-        A solve the cache answers is replied to right here: one decode,
-        one memo key, one lookup, one encode, with no task and no
-        permit.  Backpressure for the rest is event-driven: a solve
+        A solve the cache answers is replied to right here, with no
+        task and no permit.  A line whose bytes after its id an earlier
+        hit keyed costs one digest, one lookup and one formatted reply
+        (:meth:`_answer_exact`); any other solve one decode, one memo
+        key, one lookup and one encode (:meth:`_answer_solve`), and a
+        hit of that kind keys its line's bytes for the next repeat
+        (:meth:`_key_exact`).  Backpressure for the rest is event-driven: a solve
         miss or an evaluate line is only *handed to a task* once an
         in-flight permit is held, so a full daemon stops reading and
         the transport pushes back on the client.  Control kinds
@@ -904,28 +1039,36 @@ class SolverDaemon:
                     break
                 if not line.strip():
                     continue
-                try:
-                    payload = stream.decode_request(line)
-                except ProtocolError as exc:
-                    self.counters["requests"] += 1
-                    response = self._error(
-                        stream.best_effort_id(line), str(exc), stream.BAD_REQUEST
-                    )
-                    await respond(response)
-                    continue
-                kind = payload["kind"]
-                if kind == "solve":
-                    answer = self._answer_solve(payload)
-                    if not isinstance(answer, _SolveState):
-                        await respond(answer)
+                line_key = self._line_key(line)
+                answer = None
+                if line_key is not None:
+                    answer = self._answer_exact(line, line_key)
+                if answer is None:
+                    try:
+                        payload = stream.decode_request(line)
+                    except ProtocolError as exc:
+                        self.counters["requests"] += 1
+                        response = self._error(
+                            stream.best_effort_id(line), str(exc), stream.BAD_REQUEST
+                        )
+                        await respond(response)
                         continue
+                    kind = payload["kind"]
+                    if kind == "evaluate":
+                        await inflight.acquire()
+                        spawn(serve(self._serve_decoded(payload), permit=True))
+                        continue
+                    if kind != "solve":
+                        spawn(serve(self._serve_decoded(payload), permit=False))
+                        continue
+                    answer = self._answer_solve(payload, line_key)
+                if type(answer) is bytes:
+                    await write_line(answer)
+                elif isinstance(answer, _SolveState):
                     await inflight.acquire()
                     spawn(serve(self._solve_miss(answer), permit=True))
-                elif kind == "evaluate":
-                    await inflight.acquire()
-                    spawn(serve(self._serve_decoded(payload), permit=True))
                 else:
-                    spawn(serve(self._serve_decoded(payload), permit=False))
+                    await respond(answer)
         except asyncio.CancelledError:
             if not self._shutdown.is_set():
                 raise

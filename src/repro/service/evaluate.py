@@ -38,7 +38,11 @@ from repro.service.fingerprint import (
     canonical_value_token,
     request_fingerprint,
 )
-from repro.service.portfolio import PortfolioConfig, PortfolioSolver
+from repro.service.portfolio import (
+    PortfolioConfig,
+    PortfolioResult,
+    PortfolioSolver,
+)
 
 
 def hierarchy_from_overrides(overrides: Mapping[str, int]) -> HierarchyConfig:
@@ -302,8 +306,17 @@ class EvaluationService:
             self._config, options=self._options, cache=cache
         )
 
-    def evaluate(self, request: EvaluationRequest) -> EvaluationResult:
-        """Serve one request: cache lookup, else price (and maybe solve)."""
+    def evaluate(
+        self, request: EvaluationRequest, solved: Mapping | None = None
+    ) -> EvaluationResult:
+        """Serve one request: cache lookup, else price (and maybe solve).
+
+        ``solved`` is the request's cached solve entry, looked up by a
+        caller that holds the cache this service does not (a pool
+        worker's parent): a request without explicit layouts then
+        prices it as a cache hit of the embedded portfolio would,
+        without optimizing.
+        """
         start = time.perf_counter()
         fingerprint = request_fingerprint(request.program, self._options)
         token = request.token(self._config.token())
@@ -331,10 +344,13 @@ class EvaluationService:
         exact = True
         engine = None
         if layouts is None:
-            with obs_trace.span("optimize"):
-                outcome = self._solver.optimize(
-                    request.program, fingerprint=fingerprint
-                )
+            if solved is not None:
+                outcome = PortfolioResult.from_dict(solved, from_cache=True)
+            else:
+                with obs_trace.span("optimize"):
+                    outcome = self._solver.optimize(
+                        request.program, fingerprint=fingerprint
+                    )
             layouts = outcome.layouts
             winner = outcome.winner
             exact = outcome.exact
@@ -394,7 +410,8 @@ def run_evaluation_batch(
     With ``workers == 1`` one :class:`EvaluationService` serves the
     requests in process around the shared cache, so a miss also reuses
     a cached optimization.  ``workers > 1`` looks every request up in
-    the parent, fans the misses across a pool of warm workers
+    the parent -- and a miss without explicit layouts its cached
+    optimization too -- fans the misses across a pool of warm workers
     (:mod:`repro.service.workers`, which hold no cache) and stores
     their exact answers; a lone miss is priced in process instead.
     With ``client`` the batch is pipelined through a resident daemon
@@ -416,7 +433,7 @@ def run_evaluation_batch(
     portfolio_token = config.token()
 
     slots: list[EvaluationResult | None] = [None] * len(requests)
-    pending: list[tuple[int, EvaluationRequest, str, str]] = []
+    pending: list[tuple[int, EvaluationRequest, str, str, dict | None]] = []
     for index, request in enumerate(requests):
         lookup_start = time.perf_counter()
         fingerprint = request_fingerprint(request.program, options)
@@ -428,21 +445,28 @@ def run_evaluation_batch(
             result.seconds = time.perf_counter() - lookup_start
             slots[index] = result
             continue
-        pending.append((index, request, fingerprint, token))
+        solved = None
+        if request.layouts is None and cache is not None:
+            solved = cache.get(fingerprint, portfolio_token)
+        pending.append((index, request, fingerprint, token, solved))
 
-    misses = [request for _, request, _, _ in pending]
+    misses = [request for _, request, _, _, _ in pending]
+    solves = [solved for _, _, _, _, solved in pending]
     if len(misses) > 1:
         from repro.service.workers import start_pool, worker_evaluate
 
         with start_pool(workers, config, options) as pool:
             fresh = [
                 EvaluationResult.from_dict(data["result"])
-                for data in pool.map(worker_evaluate, misses)
+                for data in pool.map(worker_evaluate, misses, solves)
             ]
     else:  # no pool for a lone miss; priced like a worker would
         service = EvaluationService(config=config, options=options)
-        fresh = [service.evaluate(request) for request in misses]
-    for (index, _, fingerprint, token), result in zip(pending, fresh):
+        fresh = [
+            service.evaluate(request, solved)
+            for request, solved in zip(misses, solves)
+        ]
+    for (index, _, fingerprint, token, _), result in zip(pending, fresh):
         slots[index] = result
         if cache is not None and result.exact:
             cache.put(fingerprint, token, result.to_dict())

@@ -400,14 +400,15 @@ class DaemonClient:
         }
         prepared: list[dict] = []
         for payload in payloads:
-            prepared_payload = dict(payload)
-            if prepared_payload.get("id") is None:
+            request_id = payload.get("id")
+            if request_id is None:
                 request_id = self._take_id()
                 while request_id in used:
                     request_id = self._take_id()
                 used.add(request_id)
-                prepared_payload["id"] = request_id
-            prepared.append(prepared_payload)
+            # The id leads every line (and replaces a caller's null):
+            # the daemon answers a repeat solve from the bytes after it.
+            prepared.append({"id": request_id, **payload, "id": request_id})
         ids = [payload["id"] for payload in prepared]
         if len(set(ids)) != len(ids):
             duplicates = sorted(

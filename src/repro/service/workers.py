@@ -6,7 +6,8 @@ with ``workers > 1``) -- start their workers here.  Each worker
 builds one :class:`~repro.service.portfolio.PortfolioSolver` and one
 :class:`~repro.service.evaluate.EvaluationService` when it starts and
 reuses them for every request it serves.  Workers hold no result
-cache: the parent looks requests up before dispatching and stores
+cache: the parent looks requests up before dispatching (an evaluate
+miss's optimization too, handed to the worker with it) and stores
 the answers that come back.
 
 Every request runs inside an observability capture; its span tree and
@@ -74,10 +75,12 @@ def worker_solve(program: Program, fingerprint: str) -> dict:
     }
 
 
-def worker_evaluate(request: EvaluationRequest) -> dict:
-    """Serve one evaluate miss on a warm worker."""
+def worker_evaluate(request: EvaluationRequest, solved: dict | None = None) -> dict:
+    """Serve one evaluate miss on a warm worker; ``solved`` is the
+    request's cached solve entry, when the parent holds one (see
+    :meth:`~repro.service.evaluate.EvaluationService.evaluate`)."""
     with capture("worker_evaluate") as telemetry:
-        result = _WORKER_STATE["evaluator"].evaluate(request)
+        result = _WORKER_STATE["evaluator"].evaluate(request, solved)
     return {
         "result": result.to_dict(),
         "exact": result.exact,

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,7 @@ from repro.service.stream import (
     REQUEST_TOO_LARGE,
     DaemonClient,
     ProtocolError,
+    encode_response,
     evaluate_request,
     program_from_wire,
     program_to_wire,
@@ -395,16 +397,29 @@ class TestWireMemo:
             return client.stats()["wire_memo"]
 
     def test_repeat_solve_is_cached_and_adds_no_entry(self, harness):
+        """The first hit keys its entry by the line's bytes too (one
+        more key, the same entry); every later repeat adds nothing."""
         program = _program(520)
         with harness.client() as client:
             cold = client.solve(program)
             after_cold = client.stats()["wire_memo"]
             warm = client.solve(program)
             after_warm = client.stats()["wire_memo"]
+            again = client.solve(program)
+            after_again = client.stats()["wire_memo"]
         assert not cold["from_cache"] and warm["from_cache"]
-        assert warm["result"] == cold["result"]
-        assert after_cold == {"entries": 1, "hits": 0, "misses": 1}
-        assert after_warm == {"entries": 1, "hits": 1, "misses": 1}
+        assert warm["result"] == cold["result"] == again["result"]
+        assert after_cold == {
+            "entries": 1, "hits": 0, "misses": 1, "exact_hits": 0
+        }
+        assert after_warm == {
+            "entries": 2, "hits": 1, "misses": 1, "exact_hits": 0
+        }
+        assert after_again == {
+            "entries": 2, "hits": 2, "misses": 1, "exact_hits": 1
+        }
+        entries = list(harness.daemon._wire_memo.values())
+        assert entries[0] is entries[1]
 
     def test_shuffled_wire_keys_hit_the_memo_and_the_cache(self, harness):
         program = _program(520)
@@ -417,9 +432,10 @@ class TestWireMemo:
         assert warm["from_cache"]
         assert warm["result"] == cold["result"]
         assert self._memo(harness)["hits"] == 1
-        assert list(harness.daemon._wire_memo.values()) == [
-            request_fingerprint(program, BuildOptions())
-        ]
+        # The wire's entry, keyed by the wire and by the warm line.
+        assert [
+            entry.fingerprint for entry in harness.daemon._wire_memo.values()
+        ] == [request_fingerprint(program, BuildOptions())] * 2
 
     def test_renamed_twin_hits_under_its_own_name(self, harness):
         with harness.client() as client:
@@ -429,9 +445,15 @@ class TestWireMemo:
         assert first["from_cache"] and again["from_cache"]
         assert first["result"]["program"] == "twin"
         assert again["result"] == first["result"]
-        # Two wire forms (the names differ), one cache key.
-        assert self._memo(harness) == {"entries": 2, "hits": 1, "misses": 2}
-        assert len(set(harness.daemon._wire_memo.values())) == 1
+        # Two wire forms (the names differ), one cache key; the twin's
+        # first hit keyed its entry by its line's bytes, the second hit
+        # was found by them.
+        assert self._memo(harness) == {
+            "entries": 3, "hits": 1, "misses": 2, "exact_hits": 1
+        }
+        assert len(
+            {entry.fingerprint for entry in harness.daemon._wire_memo.values()}
+        ) == 1
 
     def test_malformed_program_is_never_memoized(self, harness):
         wire = program_to_wire(_program(520))
@@ -442,7 +464,9 @@ class TestWireMemo:
         assert first["ok"] is False and second["ok"] is False
         assert "malformed program payload" in first["error"]
         assert second["error"] == first["error"]
-        assert self._memo(harness) == {"entries": 0, "hits": 0, "misses": 2}
+        assert self._memo(harness) == {
+            "entries": 0, "hits": 0, "misses": 2, "exact_hits": 0
+        }
 
     def test_memo_is_bounded_by_the_cache_bound(self, tmp_path):
         harness = _DaemonHarness(
@@ -491,6 +515,7 @@ class TestWireMemo:
             "entries": 0,
             "hits": 0,
             "misses": 1,
+            "exact_hits": 0,
         }
 
 
@@ -511,13 +536,13 @@ class TestWireMemoProperty:
         first, second = _shuffled(wire, rng), _shuffled(wire, rng)
         daemon = SolverDaemon(config=_fast_config(), options=options)
         try:
-            key, fingerprint = daemon._memo_lookup(first)
-            assert fingerprint is None
-            daemon._fingerprint(key, None, program_from_wire(first))
+            key, entry = daemon._memo_lookup(first)
+            assert entry is None
+            daemon._memo_entry(key, None, first, program_from_wire(first))
             _, memoized = daemon._memo_lookup(second)
         finally:
             daemon.close()
-        assert memoized == request_fingerprint(
+        assert memoized.fingerprint == request_fingerprint(
             program_from_wire(second), options
         )
 
@@ -962,6 +987,286 @@ class TestReadLoopHits:
             assert response["result"] == over_socket["result"]
             phases = [child["name"] for child in response["trace"]["children"]]
             assert phases == ["decode", "fingerprint", "cache_lookup", "encode"]
+
+
+def _serve_lines(daemon, lines) -> list[bytes]:
+    """Run ``lines`` through one stream of the daemon's read loop;
+    returns the reply lines in the order they were written."""
+    feed = iter(lines)
+    replies: list[bytes] = []
+
+    async def read_line() -> bytes:
+        return next(feed, b"")
+
+    async def write_line(data: bytes) -> None:
+        replies.append(data)
+
+    asyncio.run(daemon._serve_stream(read_line, write_line))
+    return replies
+
+
+def _solve_line(request_id, wire) -> bytes:
+    """A solve line exactly as ``DaemonClient`` writes it."""
+    return encode_response(
+        {"id": request_id, "kind": "solve", "program": wire}
+    )
+
+
+def _cached_value(program, solve_seconds: float = 0.25) -> dict:
+    """A portfolio result entry for ``program`` (its layouts need not
+    be good: both hit paths serve whatever the cache holds)."""
+    return {
+        "program": program.name,
+        "fingerprint": request_fingerprint(program, BuildOptions()),
+        "winner": "enhanced",
+        "exact": True,
+        "solve_seconds": solve_seconds,
+        "layouts": {
+            decl.name: {
+                "dimension": decl.rank,
+                "rows": [[int(i == j) for j in range(decl.rank)]
+                         for i in range(decl.rank - 1)],
+            }
+            for decl in program.arrays
+        },
+        "outcomes": [],
+    }
+
+
+def _warm_daemon(program, value=None, **config) -> SolverDaemon:
+    """A daemon whose cache already holds ``program``'s solve."""
+    daemon = SolverDaemon(
+        config=_fast_config(),
+        daemon_config=DaemonConfig(workers=1, shards=2, **config),
+    )
+    daemon.cache.put(
+        request_fingerprint(program, BuildOptions()),
+        _fast_config().token(),
+        value if value is not None else _cached_value(program),
+    )
+    return daemon
+
+
+#: Request ids the compact line head carries verbatim.
+_COMPACT_IDS = st.one_of(
+    st.none(),
+    st.just(0),
+    st.integers(1, 10**18 - 1),
+    st.integers(-(10**18 - 1), -1),
+)
+_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,10}", fullmatch=True)
+
+
+def _variant_line(variant: str, request_id: int, wire: dict) -> bytes:
+    """A solve line the exact-bytes path must leave to the dict path."""
+    body = json.dumps(wire, separators=(",", ":"))
+    head = '{"id":%d,"kind":"solve","program":%s' % (request_id, body)
+    return {
+        "string id": '{"id":"r%d","kind":"solve","program":%s}' % (
+            request_id, body),
+        "float id": '{"id":%d.5,"kind":"solve","program":%s}' % (
+            request_id, body),
+        "minus zero id": '{"id":-0,"kind":"solve","program":%s}' % body,
+        "19-digit id": '{"id":%d,"kind":"solve","program":%s}' % (
+            10**18 + request_id, body),
+        "id last": '{"kind":"solve","program":%s,"id":%d}' % (
+            body, request_id),
+        "second id": head + ',"id":%d}' % (request_id + 1),
+        "trace": head + ',"trace":false}',
+        "traced": head + ',"trace":true}',
+        "second kind": '{"id":%d,"kind":"solve","kind":"solve","program":%s}'
+        % (request_id, body),
+        "extra whitespace": json.dumps(
+            {"id": request_id, "kind": "solve", "program": wire}
+        ),
+    }[variant].encode() + b"\n"
+
+
+class TestExactBytesHits:
+    """A repeat solve line answered from its bytes: the reply the dict
+    path would have written, and only where that path would have
+    answered the same request."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        index=st.integers(0, len(_RANDOM_PROGRAMS) - 1),
+        name=_NAMES,
+        ids=st.lists(_COMPACT_IDS, min_size=2, max_size=4),
+        solve_seconds=st.floats(0, 1e6, allow_nan=False),
+    )
+    def test_fast_reply_bytes_equal_the_dict_path(
+        self, index, name, ids, solve_seconds
+    ):
+        program = replace(_RANDOM_PROGRAMS[index], name=name)
+        wire = program_to_wire(program)
+        # Stored by a renamed twin: both paths answer under ``name``.
+        value = {**_cached_value(program, solve_seconds), "program": "twin"}
+        daemon = _warm_daemon(program, value)
+        lines = [_solve_line(request_id, wire) for request_id in ids]
+        try:
+            replies = _serve_lines(daemon, lines)
+            exact_hits = daemon.wire_memo_counters["exact_hits"]
+            expected = [
+                asyncio.run(daemon.handle_request(json.loads(line)))
+                for line in lines
+            ]
+        finally:
+            daemon.close()
+        assert exact_hits == len(lines) - 1  # the first line keys it
+        for reply, response in zip(replies, expected):
+            response["seconds"] = json.loads(reply)["seconds"]
+            assert reply == encode_response(response)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        index=st.integers(0, len(_RANDOM_PROGRAMS) - 1),
+        request_id=st.integers(1, 10**6),
+        variant=st.sampled_from([
+            "string id", "float id", "minus zero id", "19-digit id",
+            "id last", "second id", "trace", "traced", "second kind",
+            "extra whitespace",
+        ]),
+    )
+    def test_refused_lines_keep_the_dict_path_and_their_id(
+        self, index, request_id, variant
+    ):
+        program = _RANDOM_PROGRAMS[index]
+        line = _variant_line(variant, request_id, program_to_wire(program))
+        daemon = _warm_daemon(program)
+        try:
+            replies = _serve_lines(daemon, [line] * 3)
+        finally:
+            daemon.close()
+        assert daemon.wire_memo_counters["exact_hits"] == 0
+        assert len(replies) == 3
+        for reply in replies:
+            response = json.loads(reply)
+            assert response["ok"] and response["from_cache"]
+            assert response["id"] == json.loads(line)["id"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(st.none(), st.floats(0, 1e3, allow_nan=False)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_a_re_put_value_is_never_served_from_a_stale_body(self, steps):
+        """Each step either answers a repeat line or re-puts the entry
+        with a new ``solve_seconds``: every reply carries the value the
+        cache holds at that moment."""
+        program = _program(520, name="reput")
+        wire = program_to_wire(program)
+        value = _cached_value(program)
+        daemon = _warm_daemon(program, value)
+        fingerprint = request_fingerprint(program, BuildOptions())
+        try:
+            _serve_lines(daemon, [_solve_line(0, wire)])  # keys the bytes
+            for number, step in enumerate(steps, start=1):
+                if step is not None:
+                    value = {**value, "solve_seconds": step}
+                    daemon.cache.put(
+                        fingerprint, _fast_config().token(), value
+                    )
+                    continue
+                (reply,) = _serve_lines(daemon, [_solve_line(number, wire)])
+                assert json.loads(reply)["result"] == value
+        finally:
+            daemon.close()
+        assert daemon.wire_memo_counters["exact_hits"] == steps.count(None)
+
+    @pytest.mark.parametrize("gone", ["expired", "evicted"])
+    def test_a_lost_entry_is_answered_by_a_miss_after_one_lookup(self, gone):
+        program = _program(520, name="lost")
+        wire = program_to_wire(program)
+        daemon = _warm_daemon(program, ttl_seconds=0.5)
+        try:
+            warm = _serve_lines(daemon, [_solve_line(1, wire), _solve_line(2, wire)])
+            if gone == "expired":
+                time.sleep(0.6)
+            else:
+                daemon.cache.clear()
+            before = daemon.cache.stats
+            (reply,) = _serve_lines(daemon, [_solve_line(3, wire)])
+            after = daemon.cache.stats
+        finally:
+            daemon.close()
+        assert [json.loads(line)["from_cache"] for line in warm] == [True, True]
+        response = json.loads(reply)
+        assert response["ok"] and not response["from_cache"]
+        assert response["id"] == 3 and response["result"]["exact"]
+        assert (after.hits - before.hits, after.misses - before.misses) == (0, 1)
+        assert after.expirations - before.expirations == (gone == "expired")
+        # Line 1 decoded (a memo miss), lines 2 and 3 found by bytes.
+        assert daemon.wire_memo_counters == {
+            "hits": 2, "misses": 1, "exact_hits": 2
+        }
+
+    def test_an_exact_hit_moves_each_counter_by_exactly_one(self, harness):
+        daemon = harness.daemon
+        program = _program(520)
+
+        def snapshot() -> dict:
+            latency = daemon.registry.histogram(
+                "repro_request_seconds", {"kind": "solve"}
+            )
+            return {
+                **{name: daemon.counters[name] for name in (
+                    "requests", "solve", "cache_served", "evaluate", "errors"
+                )},
+                **{f"memo_{name}": count
+                   for name, count in daemon.wire_memo_counters.items()},
+                "latency_count": latency.count,
+                "cache_hits": daemon.cache.stats.hits,
+                "cache_misses": daemon.cache.stats.misses,
+            }
+
+        with harness.client() as client:
+            assert not client.solve(program)["from_cache"]
+            warm = client.solve(program)
+            before = snapshot()
+            exact = client.solve(program)
+            after = snapshot()
+        delta = {name: after[name] - before[name] for name in before}
+        assert delta == {
+            "requests": 1,
+            "solve": 1,
+            "cache_served": 1,
+            "evaluate": 0,
+            "errors": 0,
+            "memo_hits": 1,
+            "memo_misses": 0,
+            "memo_exact_hits": 1,
+            "latency_count": 1,
+            "cache_hits": 1,
+            "cache_misses": 0,
+        }
+        assert exact["id"] != warm["id"]
+        assert exact["result"] == warm["result"] and exact["from_cache"]
+
+    def test_a_trace_log_keeps_every_line_on_the_dict_path(self, tmp_path):
+        program = _program(520, name="teed")
+        daemon = SolverDaemon(
+            config=_fast_config(),
+            daemon_config=DaemonConfig(workers=1, shards=2),
+            trace_log=str(tmp_path / "trace.jsonl"),
+        )
+        daemon.cache.put(
+            request_fingerprint(program, BuildOptions()),
+            _fast_config().token(),
+            _cached_value(program),
+        )
+        wire = program_to_wire(program)
+        try:
+            replies = _serve_lines(
+                daemon, [_solve_line(n, wire) for n in range(3)]
+            )
+        finally:
+            daemon.close()
+        assert [json.loads(reply)["from_cache"] for reply in replies] == [True] * 3
+        assert daemon.wire_memo_counters["exact_hits"] == 0
+        assert len((tmp_path / "trace.jsonl").read_text().splitlines()) == 3
 
 
 _WORKER_PRELOAD_PROBE = """

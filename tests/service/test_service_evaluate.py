@@ -149,6 +149,35 @@ class TestEvaluationService:
         assert [r.value for r in pooled] == [r.value for r in sequential]
         assert [r.program for r in pooled] == ["p1", "p2"]
 
+    def test_pooled_batch_prices_cached_optimizations(self):
+        """A pooled evaluate batch hands each miss its cached solve, so
+        no worker re-optimizes it, and answers as ``workers=1`` does."""
+        from repro.bench import BENCHMARK_NAMES, build_benchmark
+        from repro.service.batch import run_batch
+
+        programs = [build_benchmark(name) for name in BENCHMARK_NAMES]
+        requests = [
+            EvaluationRequest(program=program, cost_model="analytic")
+            for program in programs
+        ]
+        results = {}
+        for workers in (1, 2):
+            cache = ResultCache()
+            run_batch(programs, config=_config(), cache=cache)
+            hits = cache.stats.hits
+            results[workers] = run_evaluation_batch(
+                requests, config=_config(), cache=cache, workers=workers
+            )
+            assert cache.stats.hits - hits == len(programs)
+
+        def untimed(result):
+            return {**result.to_dict(), "seconds": None}
+
+        assert [untimed(r) for r in results[2]] == [
+            untimed(r) for r in results[1]
+        ]
+        assert [r.engine for r in results[2]] == [r.engine for r in results[1]]
+
     def test_batch_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="workers"):
             run_evaluation_batch([], workers=0)

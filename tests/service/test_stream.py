@@ -229,6 +229,24 @@ class TestClientIdAssignment:
         assert responses[0]["kind"] == "ping"
         assert responses[1]["kind"] == "stats"
 
+    def test_every_line_leads_with_its_id(self):
+        """Auto-assigned, caller-supplied (even when the caller put it
+        last) or replacing an explicit null: the id comes first, in
+        the compact form the daemon answers a repeat solve from."""
+        client = self._FakeClient()
+        program = program_to_wire(parse_program(FIGURE2, name="fig2"))
+        client.request_many(
+            [
+                {"kind": "solve", "program": program},
+                {"kind": "stats", "id": 40},
+                {"id": None, "kind": "ping"},
+            ]
+        )
+        lines = [encode_response(payload) for payload in client.sent]
+        assert lines[0].startswith(b'{"id":1,"kind":"solve","program":{')
+        assert lines[1] == b'{"id":40,"kind":"stats"}\n'
+        assert lines[2] == b'{"id":2,"kind":"ping"}\n'
+
 
 class _FakeMember:
     """A scriptable JSON-lines server impersonating a daemon.
