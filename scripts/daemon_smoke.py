@@ -9,19 +9,21 @@ daemon twice and asserts:
   sharded cache;
 * solve payloads are byte-identical across the two passes;
 * the ``engines`` breakdown in the daemon's ``stats`` response
-  attributes the first pass's worker misses to some propagation
-  tier (``native``/``bitset``;
-  which one the ``auto`` crossover picks is host- and size-dependent,
-  but a silent zero row means the telemetry seam broke);
+  counts exactly one ladder run per program (``native`` + ``bitset``
+  == 5): a program's solve and its evaluate share one optimization.
+  Which tier the ``auto`` crossover picks is host- and size-dependent;
+  a silent zero row means the telemetry seam broke, a double count
+  that an evaluate re-ran the ladder;
 * every request of the two passes is sent with ``"trace": true`` and
   every response's span tree contains a ``cache_lookup`` phase;
-* a third, untraced pass of the solves (the hit path a build takes,
-  answered in the daemon's read loop) is served wholly from the cache
-  with the first pass's results, and so is a fourth, its repeat: the
-  third pass keys each line's bytes, so every solve of the fourth is
-  an exact-bytes hit (``stats()["wire_memo"]["exact_hits"]``) -- or,
-  under ``--trace-log``, none is, since a trace log keeps every
-  request on the span-recording path;
+* a third, untraced pass of the 10 requests (the hit path a build
+  takes, answered in the daemon's read loop) is served wholly from
+  the cache with the first pass's results, and so is a fourth, its
+  repeat: the third pass keys each line's bytes, so every solve and
+  every evaluate of the fourth is an exact-bytes hit
+  (``stats()["wire_memo"]["exact_hits"]``) -- or, under
+  ``--trace-log``, none is, since a trace log keeps every request on
+  the span-recording path;
 * the ``metrics`` request kind answers with parseable Prometheus text
   covering the cache, engine, and portfolio subsystems, and the
   cache-hit counters strictly increase between the two passes;
@@ -120,16 +122,14 @@ def main(argv: list[str]) -> int:
 
     # 10 mixed requests: 5 solves, 5 evaluations (cheap analytic
     # model), interleaved per program so both request kinds of one
-    # fingerprint are in flight together -- with >= 2 warm workers the
-    # pair lands on different processes, which is exactly the
-    # shared-kernel publish/attach case the stats assertion checks.
+    # fingerprint are in flight together: the evaluate must wait on
+    # its solve's ladder run, not start a second one.
     programs = [build_benchmark("MxM")] + list(random_suite(4, seed=3))
-    requests = []
+    plain = []
     for program in programs:
-        requests.append(solve_request(program, trace=True))
-        requests.append(
-            evaluate_request(program, cost_model="analytic", trace=True)
-        )
+        plain.append(solve_request(program))
+        plain.append(evaluate_request(program, cost_model="analytic"))
+    requests = [{**request, "trace": True} for request in plain]
 
     with DaemonClient(socket_path) as client:
         hello = client.ping()
@@ -138,13 +138,9 @@ def main(argv: list[str]) -> int:
         first_scrape = client.metrics()
         second = client.request_many(requests)
         second_scrape = client.metrics()
-        untraced = client.request_many(
-            [solve_request(program) for program in programs]
-        )
+        untraced = client.request_many(plain)
         exact_before = client.stats()["wire_memo"]["exact_hits"]
-        repeat = client.request_many(
-            [solve_request(program) for program in programs]
-        )
+        repeat = client.request_many(plain)
         stats = client.stats()
 
     failures = 0
@@ -189,17 +185,16 @@ def main(argv: list[str]) -> int:
 
     # The untraced passes take the daemon's untraced hit paths (no
     # span tree; the traced passes above never run them).
-    for program, response, again, before in zip(
-        programs, untraced, repeat, first[::2]
-    ):
+    for response, again, before in zip(untraced, repeat, first):
+        name = before["result"]["program"]
         for reply in (response, again):
             if not (reply.get("ok") and reply.get("from_cache")):
-                print(f"FAIL: untraced solve of {program.name} not served "
-                      f"from cache: {reply}")
+                print(f"FAIL: untraced {before['kind']} of {name} not "
+                      f"served from cache: {reply}")
                 return 1
             if "trace" in reply or reply["result"] != before["result"]:
-                print(f"FAIL: untraced hit for {program.name} differs "
-                      "from pass 1")
+                print(f"FAIL: untraced {before['kind']} hit for {name} "
+                      "differs from pass 1")
                 return 1
     print(f"OK: untraced passes: 2 x {len(untraced)}/{len(untraced)} from "
           "cache, results equal to pass 1")
@@ -215,10 +210,10 @@ def main(argv: list[str]) -> int:
     engines = stats.get("engines", {})
     print(f"daemon engines: {engines}")
     tier_total = sum(engines.get(tier, 0) for tier in ("native", "bitset"))
-    if tier_total < 1:
+    if tier_total != len(programs):
         print(
-            "FAIL: the first pass dispatched misses to workers, so the "
-            f"engine breakdown cannot be empty (engines={engines})"
+            f"FAIL: the first pass must run the ladder once per program "
+            f"({len(programs)}), not {tier_total} times (engines={engines})"
         )
         return 1
     if engines.get("native", 0):

@@ -24,7 +24,7 @@ scheme; this package turns it into a serving stack:
   streaming loop over a persistent warm worker pool, fronted by a
   *sharded* persistent result cache with backpressure.
 * :mod:`repro.service.workers` -- the warm worker processes behind
-  the daemon's pool and the ``evaluate`` batch's pool.
+  the daemon's pool, the one pool site.
 * :mod:`repro.service.stream` -- the daemon's JSON-lines wire protocol
   and the synchronous pipelining :class:`DaemonClient`, which talks to
   one daemon over its unix socket.

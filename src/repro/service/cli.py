@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="warm worker pool size for --serve and --evaluate (default 2)",
+        help="warm worker pool size of --serve (default 2)",
     )
     parser.add_argument(
         "--deadline",
@@ -544,7 +544,6 @@ def _run_evaluation(args, config, programs, cache, client=None) -> int:
         f"repro layout service v{__version__} -- evaluate "
         f"[{args.cost_model}] portfolio [{', '.join(config.schemes)}], "
         f"hierarchy={'paper' if hierarchy is None else args.hierarchy}, "
-        f"workers={args.workers}, "
         f"cache={_cache_label(args, cache, client)}"
     )
     results = run_evaluation_batch(
@@ -552,7 +551,6 @@ def _run_evaluation(args, config, programs, cache, client=None) -> int:
         config=config,
         options=benchmark_build_options(),
         cache=cache,
-        workers=args.workers,
         client=client,
     )
     for result in results:

@@ -17,27 +17,33 @@ disk, and exited.  The daemon keeps all of that resident:
 * an **asyncio** serving loop reading JSON-lines requests (see
   :mod:`repro.service.stream`) from one unix socket or from stdin,
   answering out of order as work completes;
+* **one request path**: a solve and an evaluate take the same
+  synchronous step (wire memo, fingerprint, token, cache, reply) and,
+  on a miss, the same asynchronous one.  An evaluate without explicit
+  layouts is the solve, then a price: it takes the solve's answer
+  from the cache or from the solve's own deduplicated dispatch, so a
+  program is optimized once whichever kind arrives first;
 * **backpressure** via a bounded in-flight semaphore: when
-  ``max_inflight`` solve misses and evaluate requests are being
-  served, the daemon stops *reading* from the connection, the socket
-  buffer fills, and the client's writes block -- flow control falls
-  out of socket/pipe semantics instead of an unbounded queue.  A
-  solve the cache answers takes no permit: it is answered in the read
-  loop itself.  Replies are buffered, never waited on, so a client
-  that pipelines a whole batch before reading cannot deadlock it;
+  ``max_inflight`` misses are being served, the daemon stops
+  *reading* from the connection, the socket buffer fills, and the
+  client's writes block -- flow control falls out of socket/pipe
+  semantics instead of an unbounded queue.  A request the cache
+  answers takes no permit: it is answered in the read loop itself.
+  Replies are buffered, never waited on, so a client that pipelines a
+  whole batch before reading cannot deadlock it;
 * **in-flight deduplication**: concurrent identical misses (same
-  fingerprint and config token) share one worker dispatch;
+  fingerprint and token) share one worker dispatch;
 * a **decode-free hit path** in two forms, both over one bounded
-  memo.  A repeat solve line in the compact form
+  memo.  A repeat solve or evaluate line in the compact form
   :class:`~repro.service.stream.DaemonClient` writes is answered from
   its bytes: the SHA-256 of everything after its id finds the memo
   entry, one cache lookup confirms the answer, and the reply is
   written around the ``result`` body encoded on an earlier hit -- no
   JSON decode, no wire key, no JSON encode of the result.  Any other
-  solve line (traced, another id form, extra fields) is decoded, and
-  a SHA-256 over :mod:`marshal` bytes of its program wire with the
-  objects' keys sorted (see :func:`wire_memo_key`) finds the
-  request fingerprint, so the cache answers without rebuilding the
+  line (traced, another id form, extra fields) is decoded, and a
+  SHA-256 over :mod:`marshal` bytes of its program wire with the
+  objects' keys sorted (see :func:`wire_memo_key`) finds the request
+  fingerprint, so the cache answers without rebuilding the
   :class:`~repro.ir.program.Program` (it is decoded on first sight,
   and again only when the cache no longer holds the answer);
 * **shutdown by cancellation**: a ``shutdown`` request cancels every
@@ -85,7 +91,12 @@ from repro.opt.ladder import preload_schemes
 from repro.opt.network_builder import BuildOptions
 from repro.service import stream
 from repro.service.cache import ShardedResultCache
-from repro.service.evaluate import EvaluationRequest, hierarchy_from_overrides
+from repro.service.evaluate import (
+    EvaluationRequest,
+    check_evaluation_fields,
+    evaluation_token,
+    hierarchy_from_overrides,
+)
 from repro.service.fingerprint import request_fingerprint
 from repro.service.portfolio import PortfolioConfig
 from repro.service.stream import ProtocolError
@@ -107,7 +118,7 @@ class DaemonConfig:
 
     Attributes:
         workers: size of the persistent solve/evaluate process pool.
-        max_inflight: bound on concurrently served requests; beyond it
+        max_inflight: bound on concurrently served misses; beyond it
             the daemon stops reading and lets the transport push back.
         shards: result-cache shard count.
         cache_dir: shard persistence directory (None = memory only).
@@ -165,31 +176,45 @@ class _BoundedMemo(OrderedDict):
 
 @dataclass(slots=True)
 class _MemoEntry:
-    """What the wire memo knows of one program wire form: its request
-    fingerprint and ``name``, and -- once a repeat line was answered
-    from its bytes -- the encoded ``result`` body of a solve reply
-    together with the cached value it was encoded from."""
+    """What the wire memo knows of a program wire form: its request
+    fingerprint and ``name``.  An entry keyed by a line's bytes after
+    its id also holds the line's ``kind`` and cache ``token`` and, once
+    a repeat was answered from them, the encoded ``result`` body of the
+    reply with the cached value it was encoded from.  Each line has an
+    entry of its own, so a solve body and an evaluate body never mix."""
 
     fingerprint: str
     name: object
+    kind: str | None = None
+    token: str | None = None
     body: bytes | None = None
     held: dict | None = None
 
 
-#: The compact head of a solve line as ``DaemonClient`` writes it:
-#: ``{"id":`` then ``null``, ``0`` or a nonzero integer of at most 18
-#: digits, then a comma and ``"kind":"solve",``.  Each of these ids
+#: The compact head of a solve or evaluate line as ``DaemonClient``
+#: writes it: ``{"id":`` then ``null``, ``0`` or a nonzero integer of
+#: at most 18 digits, then a comma and the ``kind``.  Each of these ids
 #: re-encodes to its own bytes, so a reply can carry them verbatim.
 _ID_PREFIX = re.compile(
-    rb'\{"id":(null|0|-?[1-9][0-9]{0,17}),(?="kind":"solve",)'
+    rb'\{"id":(null|0|-?[1-9][0-9]{0,17}),(?="kind":"(?:solve|evaluate)",)'
 )
 
-#: An exact-bytes solve hit's reply, formatted around the id, the
+#: The fields a line answered from its bytes may hold after its id, by
+#: kind: those its reply depends on, each once.  A ``trace`` field, a
+#: second ``id`` or any other field keeps a line on the dict path.
+_EXACT_FIELDS = {
+    "solve": {"kind", "program"},
+    "evaluate": {
+        "kind", "program", "cost_model", "hierarchy", "layouts", "sim_cap"
+    },
+}
+
+#: An exact-bytes hit's reply, formatted around the id, the kind, the
 #: held ``result`` body and the latency: the bytes
 #: :func:`~repro.service.stream.encode_response` writes for the same
 #: reply dict.
 _EXACT_REPLY = (
-    b'{"id":%s,"ok":true,"kind":"solve","from_cache":true,'
+    b'{"id":%s,"ok":true,"kind":"%s","from_cache":true,'
     b'"result":%s,"seconds":%s}\n'
 )
 
@@ -229,11 +254,14 @@ def wire_memo_key(wire) -> bytes | None:
 
 
 @dataclass(slots=True)
-class _SolveState:
-    """One solve's decoded state, built by its synchronous half and
-    handed to its miss dispatch, so one request looks the memo up
-    once."""
+class _RequestState:
+    """One solve or evaluate request's decoded state, built by its
+    synchronous half (:meth:`SolverDaemon._answer`) and handed to its
+    miss (:meth:`SolverDaemon._miss`), so one request looks the memo
+    up once.  ``fields`` are an evaluate's :class:`EvaluationRequest`
+    arguments but the program (None for a solve)."""
 
+    kind: str
     payload: dict
     start: float
     root: object
@@ -241,6 +269,7 @@ class _SolveState:
     program: Program | None
     fingerprint: str
     token: str
+    fields: dict | None
 
 
 # -- the daemon ----------------------------------------------------------
@@ -322,13 +351,13 @@ class SolverDaemon:
         self.engine_counters = {"bitset": 0, "native": 0}
         #: Error replies by reason code (every error reply carries one).
         self.error_counters = dict.fromkeys(stream.ERROR_REASONS, 0)
-        #: Wire memo, two kinds of key to one :class:`_MemoEntry`:
+        #: Wire memo, two kinds of key to :class:`_MemoEntry`:
         #: :func:`wire_memo_key` of a request's program wire form,
         #: filled only once the wire decoded and fingerprinted, so a
-        #: repeat skips both; and the SHA-256 of a solve line's bytes
-        #: after its id, filled by a cache hit on such a line, so a
-        #: repeat of those bytes skips the decode too.  Bounded like the
-        #: result cache itself (capacity per shard x shards).
+        #: repeat skips both; and the SHA-256 of a solve or evaluate
+        #: line's bytes after its id, filled by a cache hit on such a
+        #: line, so a repeat of those bytes skips the decode too.
+        #: Bounded like the result cache (capacity per shard x shards).
         self._wire_memo = _BoundedMemo(
             self._daemon_config.cache_capacity * self._daemon_config.shards
         )
@@ -406,22 +435,18 @@ class SolverDaemon:
     async def handle_request(self, payload: dict) -> dict:
         """Serve one decoded request.
 
-        A solve the cache answers needs no in-flight permit; a solve
-        miss and an evaluate request hold one while they are served.
+        A solve or evaluate the cache answers needs no in-flight
+        permit; a miss holds one while it is served.
         """
-        if payload.get("kind") == "evaluate":
-            async with self._semaphore():
-                return await self._serve_decoded(payload)
-        return await self._serve_decoded(payload)
-
-    async def _serve_decoded(self, payload: dict) -> dict:
-        """Serve one decoded request; the caller owns any evaluate
-        permit (a solve takes its own, on a miss only)."""
         request_id = payload.get("id")
         kind = payload["kind"]
         try:
-            if kind == "solve":
-                return await self._handle_solve(payload)  # counts itself
+            if kind in _EXACT_FIELDS:  # solve, evaluate: count themselves
+                answer = self._answer(payload)
+                if not isinstance(answer, _RequestState):
+                    return answer
+                async with self._semaphore():
+                    return await self._miss(answer)
             self.counters["requests"] += 1
             if kind == "ping":
                 return self._hello(request_id)
@@ -446,7 +471,7 @@ class SolverDaemon:
                 self._shutdown.set()
                 self._stop_reading()
                 return {"id": request_id, "ok": True, "kind": "shutdown"}
-            return await self._handle_evaluate(payload)
+            raise ProtocolError(f"unknown request kind {kind!r}")
         except Exception as exc:
             return self._failure(request_id, exc)
 
@@ -671,11 +696,11 @@ class SolverDaemon:
         return entry
 
     def _line_key(self, line: bytes) -> tuple[bytes, bytes, bytes] | None:
-        """``(id, rest, digest)`` of a solve line in the compact form
-        (:data:`_ID_PREFIX`): its id bytes, its bytes after the id and
-        their SHA-256, the key of an exact-bytes memo entry.  None for
-        any other line, and for every line when a trace log is kept
-        (each request then records a span tree, so takes the dict
+        """``(id, rest, digest)`` of a solve or evaluate line in the
+        compact form (:data:`_ID_PREFIX`): its id bytes, its bytes after
+        the id and their SHA-256, the key of an exact-bytes memo entry.
+        None for any other line, and for every line when a trace log is
+        kept (each request then records a span tree, so takes the dict
         path)."""
         if self._trace_writer is not None:
             return None
@@ -687,14 +712,14 @@ class SolverDaemon:
 
     def _answer_exact(
         self, line: bytes, line_key: tuple[bytes, bytes, bytes]
-    ) -> bytes | _SolveState | None:
-        """A repeat solve line answered from its bytes: no decode, no
+    ) -> bytes | _RequestState | None:
+        """A repeat line answered from its bytes: no decode, no
         :func:`wire_memo_key`, no encode of the result.
 
         None when the memo holds no entry for the line's bytes (the
         line then takes the dict path).  Otherwise the reply line, or
         -- when the cache no longer holds the answer -- the
-        :class:`_SolveState` of the miss, after the one cache lookup.
+        :class:`_RequestState` of the miss, after the one cache lookup.
         Counters move as a dict-path hit moves them.
         """
         start = time.perf_counter()
@@ -702,18 +727,18 @@ class SolverDaemon:
         entry = self._wire_memo.get(digest)
         if entry is None:
             return None
+        kind = entry.kind
         self.counters["requests"] += 1
-        self.counters["solve"] += 1
+        self.counters[kind] += 1
         self.wire_memo_counters["hits"] += 1
         self.wire_memo_counters["exact_hits"] += 1
-        token = self._config.token()
-        cached = self.cache.get(entry.fingerprint, token)
+        cached = self.cache.get(entry.fingerprint, entry.token)
         if cached is None:  # expired or evicted: serve the miss
             # Decodes: its bytes after the id decoded in a keyed line.
             payload = stream.decode_request(line)
-            return _SolveState(
-                payload, start, NOOP_SPAN, payload["program"], None,
-                entry.fingerprint, token,
+            return _RequestState(
+                kind, payload, start, NOOP_SPAN, payload["program"], None,
+                entry.fingerprint, entry.token, _request_fields(payload),
             )
         self.counters["cache_served"] += 1
         if entry.held is not cached:
@@ -722,46 +747,45 @@ class SolverDaemon:
             entry.body = json.dumps(result, separators=(",", ":")).encode()
             entry.held = cached
         seconds = time.perf_counter() - start
-        self._observe_latency("solve", seconds)
-        return _EXACT_REPLY % (request_id, entry.body, repr(seconds).encode())
+        self._observe_latency(kind, seconds)
+        return _EXACT_REPLY % (
+            request_id, kind.encode(), entry.body, repr(seconds).encode()
+        )
 
-    def _key_exact(self, line_key: tuple, entry: _MemoEntry) -> None:
-        """Key ``entry`` by a hit line's bytes after its id, when they
-        hold ``kind`` and ``program`` once each and nothing else: a
-        second ``id`` or ``kind``, a ``trace`` or any other field keeps
-        the line on the dict path."""
+    def _key_exact(self, line_key: tuple, state: _RequestState) -> None:
+        """Key a hit line's bytes after its id by an entry of their own,
+        when they hold only :data:`_EXACT_FIELDS` of their kind, each
+        once."""
         _, rest, digest = line_key
         # Decodes, as the whole line did; objects decode to their
         # (key, value) pairs, so a repeated key stays visible.
-        fields = json.loads(b"{" + rest, object_pairs_hook=list)
-        if sorted(key for key, _ in fields) == ["kind", "program"]:
-            self._wire_memo[digest] = entry
+        names = [key for key, _ in json.loads(b"{" + rest, object_pairs_hook=list)]
+        unique = len(set(names)) == len(names)
+        if unique and _EXACT_FIELDS[state.kind].issuperset(names):
+            self._wire_memo[digest] = _MemoEntry(
+                state.fingerprint, state.wire["name"], state.kind, state.token
+            )
 
-    async def _handle_solve(self, payload: dict) -> dict:
-        """Serve one solve: from the cache at once, else under an
-        in-flight permit on the pool."""
-        answer = self._answer_solve(payload)
-        if not isinstance(answer, _SolveState):
-            return answer
-        async with self._semaphore():
-            return await self._solve_miss(answer)
-
-    def _answer_solve(
+    def _answer(
         self, payload: dict, line_key: tuple | None = None
-    ) -> dict | _SolveState:
-        """A solve's synchronous half: wire memo, fingerprint, cache.
+    ) -> dict | _RequestState:
+        """A solve or evaluate's synchronous half: wire memo,
+        fingerprint, token, cache.
 
         Returns the reply when the cache answers (or the request is
-        malformed), else the :class:`_SolveState` that
-        :meth:`_solve_miss` dispatches from.  The read loop calls it
-        directly, so a hit costs no task and no permit, and passes the
-        line's :meth:`_line_key`: a hit then keys the memo entry by the
-        line's bytes as well.
+        malformed), else the :class:`_RequestState` that :meth:`_miss`
+        serves.  The read loop calls it directly, so a hit costs no
+        task and no permit, and passes the line's :meth:`_line_key`: a
+        hit then keys the line's bytes as well.  An evaluate's fields
+        are checked on every request; only the check of explicit
+        layouts against the program waits for a miss, since a cached
+        answer's layouts fit the arrays its fingerprint names.
         """
+        kind = payload["kind"]
         self.counters["requests"] += 1
-        self.counters["solve"] += 1
+        self.counters[kind] += 1
         start = time.perf_counter()
-        root = self._request_span(payload, "solve")
+        root = self._request_span(payload, kind)
         try:
             with root.phase("decode"):
                 wire = payload["program"]
@@ -769,11 +793,15 @@ class SolverDaemon:
                 program = None
                 if entry is None:
                     program = stream.program_from_wire(wire)
+                fields = _request_fields(payload)
             with root.phase("fingerprint"):
                 entry = self._memo_entry(key, entry, wire, program)
                 token = self._config.token()
-            state = _SolveState(
-                payload, start, root, wire, program, entry.fingerprint, token
+                if fields is not None:
+                    token = evaluation_token(token, **fields)
+            state = _RequestState(
+                kind, payload, start, root, wire, program,
+                entry.fingerprint, token, fields,
             )
             reply = self._cached_reply(state)
         except Exception as exc:
@@ -781,12 +809,12 @@ class SolverDaemon:
         if reply is None:
             return state
         if line_key is not None:
-            self._key_exact(line_key, entry)
+            self._key_exact(line_key, state)
         return reply
 
-    def _cached_reply(self, state: _SolveState) -> dict | None:
-        """The solve's reply from the cache, or None when it has none:
-        the one place a solve is answered from the cache."""
+    def _cached_reply(self, state: _RequestState) -> dict | None:
+        """The request's reply from the cache, or None when it has
+        none: the one place a request is answered from the cache."""
         root = state.root
         with root.phase("cache_lookup"):
             cached = self.cache.get(state.fingerprint, state.token)
@@ -800,95 +828,67 @@ class SolverDaemon:
         response = {
             "id": state.payload.get("id"),
             "ok": True,
-            "kind": "solve",
+            "kind": state.kind,
             "from_cache": True,
             "result": result,
         }
         return self._finish(root, state.payload, response, state.start)
 
-    async def _solve_miss(self, state: _SolveState) -> dict:
-        """A solve's asynchronous half: dispatch the miss to the pool.
+    async def _miss(self, state: _RequestState) -> dict:
+        """A request's asynchronous half: serve the miss on the pool.
 
         The caller holds the in-flight permit.  A twin's answer may
         have reached the cache while this request waited for it; it is
-        then served from there instead of solved again.
+        then served from there instead of computed again.  An evaluate
+        without explicit layouts prices its solve's answer: from the
+        cache, else from the same deduplicated dispatch a solve miss
+        makes (which stores it), so a solve and its evaluate, in
+        either order, run the ladder once.
         """
+        fingerprint, root = state.fingerprint, state.root
         try:
-            if self.cache.contains(state.fingerprint, state.token):
+            if self.cache.contains(fingerprint, state.token):
                 reply = self._cached_reply(state)
                 if reply is not None:
                     return reply
-            root = state.root
             program = state.program
             if program is None:  # memo hit whose answer left the cache
                 with root.phase("decode"):
                     program = stream.program_from_wire(state.wire)
-            data = await self._dispatch(
-                state.fingerprint,
-                state.token,
-                root,
-                worker_solve,
-                program,
-                state.fingerprint,
-            )
+            if state.fields is None:
+                data = await self._dispatch(
+                    fingerprint, state.token, root, worker_solve, program, fingerprint
+                )
+            else:
+                try:
+                    request = EvaluationRequest(program=program, **state.fields)
+                except ValueError as exc:  # explicit layouts that do not fit
+                    raise ProtocolError(str(exc)) from exc
+                solved = None
+                if request.layouts is None:
+                    token = self._config.token()
+                    solved = self.cache.get(fingerprint, token)
+                    if solved is None:
+                        solved = (await self._dispatch(
+                            fingerprint, token, root, worker_solve, program,
+                            fingerprint,
+                        ))["result"]
+                data = await self._dispatch(
+                    fingerprint, state.token, root, worker_evaluate, request, solved
+                )
             with root.phase("encode"):
                 result = dict(data["result"])
                 result["program"] = program.name
             response = {
                 "id": state.payload.get("id"),
                 "ok": True,
-                "kind": "solve",
+                "kind": state.kind,
                 "from_cache": False,
                 "result": result,
             }
             return self._finish(root, state.payload, response, state.start)
         except Exception as exc:
             return self._failure(state.payload.get("id"), exc)
-
-    async def _handle_evaluate(self, payload: dict) -> dict:
-        start = time.perf_counter()
-        self.counters["evaluate"] += 1
-        root = self._request_span(payload, "evaluate")
-        with root.phase("decode"):
-            wire = payload["program"]
-            key, entry = self._memo_lookup(wire)
-            program = stream.program_from_wire(wire)
-            request = _evaluation_request(program, payload)
-        with root.phase("fingerprint"):
-            fingerprint = self._memo_entry(key, entry, wire, program).fingerprint
-            token = request.token(self._config.token())
-        with root.phase("cache_lookup"):
-            cached = self.cache.get(fingerprint, token)
-        if cached is not None:
-            self.counters["cache_served"] += 1
-            with root.phase("encode"):
-                result = dict(cached)
-                result["program"] = program.name
-            response = {
-                "id": payload.get("id"),
-                "ok": True,
-                "kind": "evaluate",
-                "from_cache": True,
-                "result": result,
-            }
-            return self._finish(root, payload, response, start)
-        solved = None
-        if request.layouts is None:  # price a cached optimization as is
-            solved = self.cache.get(fingerprint, self._config.token())
-        data = await self._dispatch(
-            fingerprint, token, root, worker_evaluate, request, solved
-        )
-        with root.phase("encode"):
-            result = dict(data["result"])
-            result["program"] = program.name
-        response = {
-            "id": payload.get("id"),
-            "ok": True,
-            "kind": "evaluate",
-            "from_cache": False,
-            "result": result,
-        }
-        return self._finish(root, payload, response, start)
 
     def _merge_worker_telemetry(self, data: dict) -> None:
         """Fold a worker's shipped metric delta into the live registry.
@@ -970,18 +970,18 @@ class SolverDaemon:
         rest each as its own task, stream responses back in completion
         order.
 
-        A solve the cache answers is replied to right here, with no
-        task and no permit.  A line whose bytes after its id an earlier
-        hit keyed costs one digest, one lookup and one formatted reply
-        (:meth:`_answer_exact`); any other solve one decode, one memo
-        key, one lookup and one encode (:meth:`_answer_solve`), and a
-        hit of that kind keys its line's bytes for the next repeat
-        (:meth:`_key_exact`).  Backpressure for the rest is event-driven: a solve
-        miss or an evaluate line is only *handed to a task* once an
+        A solve or evaluate the cache answers is replied to right here,
+        with no task and no permit.  A line whose bytes after its id an
+        earlier hit keyed costs one digest, one lookup and one
+        formatted reply (:meth:`_answer_exact`); any other one decode,
+        one memo key, one lookup and one encode (:meth:`_answer`), and
+        a hit of that kind keys its line's bytes for the next repeat
+        (:meth:`_key_exact`).  Backpressure for the rest is
+        event-driven: a miss is only *handed to a task* once an
         in-flight permit is held, so a full daemon stops reading and
         the transport pushes back on the client.  Control kinds
-        (ping/stats/shutdown) bypass the bound: a saturated daemon
-        stays inspectable and stoppable.
+        (ping/stats/metrics/shutdown) bypass the bound: a saturated
+        daemon stays inspectable and stoppable.
 
         ``write_line`` buffers its line and must not wait for the peer
         to read it: a client may send a whole pipelined batch before it
@@ -1053,20 +1053,15 @@ class SolverDaemon:
                         )
                         await respond(response)
                         continue
-                    kind = payload["kind"]
-                    if kind == "evaluate":
-                        await inflight.acquire()
-                        spawn(serve(self._serve_decoded(payload), permit=True))
+                    if payload["kind"] not in _EXACT_FIELDS:  # control
+                        spawn(serve(self.handle_request(payload), permit=False))
                         continue
-                    if kind != "solve":
-                        spawn(serve(self._serve_decoded(payload), permit=False))
-                        continue
-                    answer = self._answer_solve(payload, line_key)
+                    answer = self._answer(payload, line_key)
                 if type(answer) is bytes:
                     await write_line(answer)
-                elif isinstance(answer, _SolveState):
+                elif isinstance(answer, _RequestState):
                     await inflight.acquire()
-                    spawn(serve(self._solve_miss(answer), permit=True))
+                    spawn(serve(self._miss(answer), permit=True))
                 else:
                     await respond(answer)
         except asyncio.CancelledError:
@@ -1229,13 +1224,17 @@ def _adopt_worker_spans(parent, data: dict) -> None:
                 parent.adopt(payload)
 
 
-def _evaluation_request(program: Program, payload: dict) -> EvaluationRequest:
-    """Decode the evaluate-specific request fields.
+def _request_fields(payload: dict) -> dict | None:
+    """An evaluate's :class:`EvaluationRequest` arguments but the
+    program, checked as far as they can be without it; None for a
+    solve.
 
     Raises:
         ProtocolError: for malformed fields (so the daemon answers
             with an error line instead of a stack trace).
     """
+    if payload["kind"] != "evaluate":
+        return None
     hierarchy = None
     if payload.get("hierarchy") is not None:
         overrides = payload["hierarchy"]
@@ -1257,15 +1256,13 @@ def _evaluation_request(program: Program, payload: dict) -> EvaluationRequest:
     if not isinstance(cost_model, str):
         raise ProtocolError("'cost_model' must be a string")
     try:
-        return EvaluationRequest(
-            program=program,
-            cost_model=cost_model,
-            hierarchy=hierarchy,
-            layouts=layouts,
-            max_iterations_per_nest=sim_cap,
-        )
+        check_evaluation_fields(cost_model, hierarchy, sim_cap)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
+    return dict(
+        cost_model=cost_model, hierarchy=hierarchy, layouts=layouts,
+        max_iterations_per_nest=sim_cap,
+    )
 
 
 def serve(

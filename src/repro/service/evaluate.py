@@ -3,15 +3,20 @@
 The portfolio answers "what layouts should this program use?"; an
 evaluation request answers "what would these layouts *cost*?" -- on a
 per-request machine model, so one deployment prices the same program
-for many cache geometries.  A request without explicit layouts first
-runs the optimizing portfolio (ladder, cached) and then prices the
-winner, which is how batch callers close the analytic <-> empirical
-loop remotely.
+for many cache geometries.  A request without explicit layouts is the
+solve, then a price: it takes the portfolio's answer for the program
+(from the cache, else from one ladder run, which is cached too) and
+prices its layouts, which is how batch callers close the analytic <->
+empirical loop remotely.
 
 Results are cached alongside optimization results in the same
 :class:`~repro.service.cache.ResultCache`, keyed by the request
 fingerprint plus an evaluation token that folds in the cost model,
-the hierarchy fingerprint and (when given) the explicit layouts.
+the hierarchy fingerprint and (when given) the explicit layouts.  The
+token and the field checks that need no program
+(:func:`evaluation_token`, :func:`check_evaluation_fields`) stand
+apart from :class:`EvaluationRequest`, so the daemon answers a cached
+evaluate without decoding its program.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from typing import Mapping, Sequence
 from repro.cachesim.hierarchy import HierarchyConfig
 from repro.eval import get_cost_model
 
-# The built-in cost models load with this module, before a daemon or
-# batch pool forks, so a worker's first evaluate pays no import.
+# The built-in cost models load with this module, before the daemon's
+# pool forks, so a worker's first evaluate pays no import.
 from repro.eval import analytic, simulated, weighted  # noqa: F401
 from repro.ir.program import Program
 from repro.layout.layout import Layout
@@ -101,6 +106,60 @@ def parse_hierarchy_overrides(spec: str) -> HierarchyConfig:
     return hierarchy_from_overrides(overrides)
 
 
+#: Cost models whose score depends on the machine model.
+_HIERARCHY_MODELS = ("simulated", "analytic")
+
+
+def check_evaluation_fields(
+    cost_model: str,
+    hierarchy: HierarchyConfig | None = None,
+    max_iterations_per_nest: int | None = None,
+) -> None:
+    """Raise ``ValueError`` for a field combination no program can make
+    valid: a non-positive sampling cap, a cap on a model that does not
+    simulate, or a hierarchy override on a model that cannot honor it."""
+    if max_iterations_per_nest is not None:
+        if max_iterations_per_nest <= 0:
+            raise ValueError("max_iterations_per_nest must be positive")
+        if cost_model != "simulated":
+            raise ValueError(
+                f"cost model {cost_model!r} does not simulate; "
+                "drop the iteration-sampling cap"
+            )
+    if hierarchy is not None and cost_model not in _HIERARCHY_MODELS:
+        raise ValueError(
+            f"cost model {cost_model!r} does not use a cache "
+            "hierarchy; drop the hierarchy override"
+        )
+
+
+def evaluation_token(
+    portfolio_token: str,
+    cost_model: str,
+    hierarchy: HierarchyConfig | None = None,
+    layouts: Mapping[str, Layout] | None = None,
+    max_iterations_per_nest: int | None = None,
+) -> str:
+    """Canonical cache token of an evaluation's fields: everything but
+    the program, so it is known before the program is decoded."""
+    if cost_model in _HIERARCHY_MODELS:
+        hierarchy = hierarchy if hierarchy is not None else HierarchyConfig()
+        hierarchy_token = hierarchy.fingerprint()
+    else:
+        hierarchy_token = "hier=n/a"
+    if layouts is None:
+        layouts_token = f"opt:{portfolio_token}"
+    else:
+        layouts_token = ";".join(
+            f"{name}={canonical_value_token(layout)}"
+            for name, layout in sorted(layouts.items())
+        )
+    return (
+        f"evaluate[{cost_model}]{hierarchy_token}"
+        f"cap={max_iterations_per_nest}layouts[{layouts_token}]"
+    )
+
+
 @dataclass(frozen=True)
 class EvaluationRequest:
     """One evaluation request.
@@ -120,10 +179,9 @@ class EvaluationRequest:
             simulated model (None = exact).
 
     Raises:
-        ValueError: for a non-positive sampling cap, a hierarchy
-            override on a model that cannot honor it, or explicit
-            layouts that do not give each of the program's arrays
-            exactly one layout of the array's rank.
+        ValueError: for fields :func:`check_evaluation_fields` rejects,
+            or explicit layouts that do not give each of the program's
+            arrays exactly one layout of the array's rank.
     """
 
     program: Program
@@ -133,47 +191,20 @@ class EvaluationRequest:
     max_iterations_per_nest: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iterations_per_nest is not None:
-            if self.max_iterations_per_nest <= 0:
-                raise ValueError("max_iterations_per_nest must be positive")
-            if self.cost_model != "simulated":
-                raise ValueError(
-                    f"cost model {self.cost_model!r} does not simulate; "
-                    "drop the iteration-sampling cap"
-                )
-        if self.hierarchy is not None and not self.uses_hierarchy:
-            raise ValueError(
-                f"cost model {self.cost_model!r} does not use a cache "
-                "hierarchy; drop the hierarchy override"
-            )
+        check_evaluation_fields(
+            self.cost_model, self.hierarchy, self.max_iterations_per_nest
+        )
         if self.layouts is not None:
             _check_layouts(self.program, self.layouts)
 
-    @property
-    def uses_hierarchy(self) -> bool:
-        """True when the model's score depends on the machine model."""
-        return self.cost_model in ("simulated", "analytic")
-
     def token(self, portfolio_token: str) -> str:
         """Canonical cache token of everything but the program."""
-        if self.uses_hierarchy:
-            hierarchy = (
-                self.hierarchy if self.hierarchy is not None else HierarchyConfig()
-            )
-            hierarchy_token = hierarchy.fingerprint()
-        else:
-            hierarchy_token = "hier=n/a"
-        if self.layouts is None:
-            layouts_token = f"opt:{portfolio_token}"
-        else:
-            layouts_token = ";".join(
-                f"{name}={canonical_value_token(layout)}"
-                for name, layout in sorted(self.layouts.items())
-            )
-        cap = self.max_iterations_per_nest
-        return (
-            f"evaluate[{self.cost_model}]{hierarchy_token}"
-            f"cap={cap}layouts[{layouts_token}]"
+        return evaluation_token(
+            portfolio_token,
+            self.cost_model,
+            self.hierarchy,
+            self.layouts,
+            self.max_iterations_per_nest,
         )
 
 
@@ -311,11 +342,11 @@ class EvaluationService:
     ) -> EvaluationResult:
         """Serve one request: cache lookup, else price (and maybe solve).
 
-        ``solved`` is the request's cached solve entry, looked up by a
-        caller that holds the cache this service does not (a pool
-        worker's parent): a request without explicit layouts then
-        prices it as a cache hit of the embedded portfolio would,
-        without optimizing.
+        ``solved`` is the request's solve entry, handed in by a caller
+        that holds the cache this service does not (the daemon, for its
+        pool workers): a request without explicit layouts then prices
+        it as a cache hit of the embedded portfolio would, without
+        optimizing.
         """
         start = time.perf_counter()
         fingerprint = request_fingerprint(request.program, self._options)
@@ -402,76 +433,24 @@ def run_evaluation_batch(
     config: PortfolioConfig | None = None,
     options: BuildOptions | None = None,
     cache: ResultCache | None = None,
-    workers: int = 1,
     client=None,
 ) -> list[EvaluationResult]:
     """Serve a list of evaluation requests, preserving input order.
 
-    With ``workers == 1`` one :class:`EvaluationService` serves the
-    requests in process around the shared cache, so a miss also reuses
-    a cached optimization.  ``workers > 1`` looks every request up in
-    the parent -- and a miss without explicit layouts its cached
-    optimization too -- fans the misses across a pool of warm workers
-    (:mod:`repro.service.workers`, which hold no cache) and stores
-    their exact answers; a lone miss is priced in process instead.
-    With ``client`` the batch is pipelined through a resident daemon
-    (every other argument is then the daemon's concern).
+    One :class:`EvaluationService` serves the requests one after
+    another in process around the shared cache, so a request reuses a
+    cached optimization and stores the one it runs.  With ``client``
+    the batch is pipelined through a resident daemon, whose warm pool
+    serves it in parallel (every other argument is then the daemon's
+    concern).
 
     Raises:
-        ValueError: for a non-positive worker count.
         RuntimeError: when the daemon answers a request with an error.
     """
     if client is not None:
         return _run_evaluation_batch_via_daemon(requests, client)
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    config = config if config is not None else PortfolioConfig()
-    options = options if options is not None else BuildOptions()
-    if workers == 1:
-        service = EvaluationService(config=config, options=options, cache=cache)
-        return [service.evaluate(request) for request in requests]
-    portfolio_token = config.token()
-
-    slots: list[EvaluationResult | None] = [None] * len(requests)
-    pending: list[tuple[int, EvaluationRequest, str, str, dict | None]] = []
-    for index, request in enumerate(requests):
-        lookup_start = time.perf_counter()
-        fingerprint = request_fingerprint(request.program, options)
-        token = request.token(portfolio_token)
-        cached = cache.get(fingerprint, token) if cache is not None else None
-        if cached is not None:
-            result = EvaluationResult.from_dict(cached, from_cache=True)
-            result.program = request.program.name
-            result.seconds = time.perf_counter() - lookup_start
-            slots[index] = result
-            continue
-        solved = None
-        if request.layouts is None and cache is not None:
-            solved = cache.get(fingerprint, portfolio_token)
-        pending.append((index, request, fingerprint, token, solved))
-
-    misses = [request for _, request, _, _, _ in pending]
-    solves = [solved for _, _, _, _, solved in pending]
-    if len(misses) > 1:
-        from repro.service.workers import start_pool, worker_evaluate
-
-        with start_pool(workers, config, options) as pool:
-            fresh = [
-                EvaluationResult.from_dict(data["result"])
-                for data in pool.map(worker_evaluate, misses, solves)
-            ]
-    else:  # no pool for a lone miss; priced like a worker would
-        service = EvaluationService(config=config, options=options)
-        fresh = [
-            service.evaluate(request, solved)
-            for request, solved in zip(misses, solves)
-        ]
-    for (index, _, fingerprint, token, _), result in zip(pending, fresh):
-        slots[index] = result
-        if cache is not None and result.exact:
-            cache.put(fingerprint, token, result.to_dict())
-
-    return [result for result in slots if result is not None]
+    service = EvaluationService(config=config, options=options, cache=cache)
+    return [service.evaluate(request) for request in requests]
 
 
 def request_to_wire(request: EvaluationRequest) -> dict:

@@ -1,14 +1,16 @@
-"""Warm worker processes: the one process pool the service runs.
+"""Warm worker processes: the resident daemon's process pool.
 
-Both pool sites -- the resident daemon's persistent pool and the
-``evaluate`` batch's pool (:func:`repro.service.evaluate.run_evaluation_batch`
-with ``workers > 1``) -- start their workers here.  Each worker
-builds one :class:`~repro.service.portfolio.PortfolioSolver` and one
+The daemon (:mod:`repro.service.daemon`) is the one pool site; batch
+front ends serve in process, or through the daemon with
+``--connect``.  Each worker builds one
+:class:`~repro.service.portfolio.PortfolioSolver` and one
 :class:`~repro.service.evaluate.EvaluationService` when it starts and
 reuses them for every request it serves.  Workers hold no result
-cache: the parent looks requests up before dispatching (an evaluate
-miss's optimization too, handed to the worker with it) and stores
-the answers that come back.
+cache: the daemon looks requests up before dispatching and stores the
+answers that come back.  An evaluate miss without explicit layouts is
+handed its solve's answer -- cached, or from the daemon's one
+deduplicated :func:`worker_solve` dispatch -- so a worker prices it
+without running the ladder again.
 
 Every request runs inside an observability capture; its span tree and
 metric delta ship back as ``telemetry``, a sibling of ``result``, so
@@ -77,7 +79,7 @@ def worker_solve(program: Program, fingerprint: str) -> dict:
 
 def worker_evaluate(request: EvaluationRequest, solved: dict | None = None) -> dict:
     """Serve one evaluate miss on a warm worker; ``solved`` is the
-    request's cached solve entry, when the parent holds one (see
+    request's solve entry, for a request without explicit layouts (see
     :meth:`~repro.service.evaluate.EvaluationService.evaluate`)."""
     with capture("worker_evaluate") as telemetry:
         result = _WORKER_STATE["evaluator"].evaluate(request, solved)

@@ -1,6 +1,8 @@
 """Tests for weighted networks (branch & bound) and min-conflicts."""
 
+import random
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,41 @@ class TestBranchAndBound:
         result = BranchAndBoundSolver().solve(weighted)
         # Planted solution exists, so the optimum is full satisfaction.
         assert result.fully_satisfied
+
+    def test_optimum_equals_the_exhaustive_optimum(self):
+        """An optimality oracle on networks with no planted solution,
+        most of them unsatisfiable: the weight branch and bound
+        satisfies equals the best over every assignment, computed only
+        through the network's own ``allows`` checks."""
+        unsatisfiable = 0
+        for seed in range(300):
+            network = random_network(
+                6, 3, density=0.8, tightness=0.6, seed=seed,
+                plant_solution=False,
+            )
+            rng = random.Random(seed)
+            weights = {
+                frozenset((c.first, c.second)): float(rng.randint(1, 5))
+                for c in network.constraints
+            }
+
+            def satisfied(assignment):
+                return sum(
+                    weights[frozenset((c.first, c.second))]
+                    for c in network.constraints
+                    if c.allows(c.first, assignment[c.first], assignment[c.second])
+                )
+
+            names = network.variables
+            optimum = max(
+                satisfied(dict(zip(names, combo)))
+                for combo in product(*(network.domain(name) for name in names))
+            )
+            unsatisfiable += optimum < sum(weights.values())
+            result = BranchAndBoundSolver().solve(WeightedNetwork(network, weights))
+            assert result.satisfied_weight == optimum, seed
+            assert satisfied(result.assignment) == optimum, seed
+        assert unsatisfiable == 283
 
     def test_stats_populated(self):
         weighted = WeightedNetwork(paper_example_network())

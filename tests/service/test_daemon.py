@@ -198,10 +198,10 @@ class TestProtocol:
             daemon_config=DaemonConfig(workers=1, shards=1),
         )
 
-        async def broken(payload):
+        def broken(payload):
             raise RuntimeError("worker fell over")
 
-        monkeypatch.setattr(daemon, "_handle_solve", broken)
+        monkeypatch.setattr(daemon, "_answer", broken)
         try:
             response = asyncio.run(
                 daemon.handle_request(solve_request(_program(520), request_id=3))
@@ -397,8 +397,8 @@ class TestWireMemo:
             return client.stats()["wire_memo"]
 
     def test_repeat_solve_is_cached_and_adds_no_entry(self, harness):
-        """The first hit keys its entry by the line's bytes too (one
-        more key, the same entry); every later repeat adds nothing."""
+        """The first hit keys the line's bytes too (one more key, to an
+        entry of the line's own); every later repeat adds nothing."""
         program = _program(520)
         with harness.client() as client:
             cold = client.solve(program)
@@ -418,8 +418,11 @@ class TestWireMemo:
         assert after_again == {
             "entries": 2, "hits": 2, "misses": 1, "exact_hits": 1
         }
-        entries = list(harness.daemon._wire_memo.values())
-        assert entries[0] is entries[1]
+        wire_entry, line_entry = harness.daemon._wire_memo.values()
+        assert (line_entry.fingerprint, line_entry.name) == (
+            wire_entry.fingerprint, wire_entry.name
+        )
+        assert (wire_entry.kind, line_entry.kind) == (None, "solve")
 
     def test_shuffled_wire_keys_hit_the_memo_and_the_cache(self, harness):
         program = _program(520)
@@ -1267,6 +1270,134 @@ class TestExactBytesHits:
         assert [json.loads(reply)["from_cache"] for reply in replies] == [True] * 3
         assert daemon.wire_memo_counters["exact_hits"] == 0
         assert len((tmp_path / "trace.jsonl").read_text().splitlines()) == 3
+
+
+def _compact_line(request_id, payload: dict) -> bytes:
+    """``payload`` as ``DaemonClient`` writes it, id first."""
+    return encode_response({**payload, "id": request_id})
+
+
+class TestOneRequestPath:
+    """A solve and an evaluate share one synchronous step and one miss
+    step: an evaluate without layouts is the solve, then a price."""
+
+    @pytest.mark.parametrize("evaluate_first", [False, True])
+    def test_a_solve_and_its_evaluate_run_the_ladder_once(
+        self, harness, evaluate_first
+    ):
+        program = _program(520)
+        requests = [
+            solve_request(program),
+            evaluate_request(program, cost_model="analytic"),
+        ]
+        if evaluate_first:
+            requests.reverse()
+        with harness.client() as client:
+            responses = client.request_many(requests)
+            stats = client.stats()
+        assert all(r["ok"] and not r["from_cache"] for r in responses)
+        assert sum(stats["engines"].values()) == 1
+        assert stats["cache"]["stores"] == 2
+        solved, priced = sorted(responses, key=lambda r: r["kind"] != "solve")
+        assert priced["result"]["layouts"] == solved["result"]["layouts"]
+
+    def test_a_repeated_compact_evaluate_line_is_an_exact_hit(self):
+        """Its reply is the dict path's, byte for byte but ``seconds``;
+        the solve lines of the same program keep entries of their own."""
+        program = _program(520, name="priced")
+        evaluate = evaluate_request(
+            program, cost_model="analytic", hierarchy={"l1_line": 32}
+        )
+        solve = solve_request(program)
+        daemon = SolverDaemon(
+            config=_fast_config(),
+            daemon_config=DaemonConfig(workers=1, shards=2),
+        )
+        try:
+            (miss,) = _serve_lines(daemon, [_compact_line(1, evaluate)])
+            before = daemon.wire_memo_counters["exact_hits"]
+            lines = [
+                _compact_line(2, evaluate),  # dict path; keys the bytes
+                _compact_line(3, evaluate),
+                _compact_line(4, solve),
+                _compact_line(5, solve),
+                _compact_line(6, evaluate),
+            ]
+            replies = _serve_lines(daemon, lines)
+            exact = daemon.wire_memo_counters["exact_hits"] - before
+            expected = [
+                asyncio.run(daemon.handle_request(json.loads(line)))
+                for line in lines
+            ]
+        finally:
+            daemon.close()
+        assert not json.loads(miss)["from_cache"]
+        assert exact == 3
+        for reply, response in zip(replies, expected):
+            assert response["from_cache"]
+            response["seconds"] = json.loads(reply)["seconds"]
+            assert reply == encode_response(response)
+        assert [json.loads(reply)["kind"] for reply in replies] == [
+            "evaluate", "evaluate", "solve", "solve", "evaluate"
+        ]
+
+    def test_an_evaluate_hit_never_decodes_its_program(self, monkeypatch):
+        program = _program(520, name="undecoded")
+        evaluate = evaluate_request(program, cost_model="analytic")
+        daemon = SolverDaemon(
+            config=_fast_config(),
+            daemon_config=DaemonConfig(workers=1, shards=2),
+        )
+        calls = []
+
+        def counted(wire):
+            calls.append(wire)
+            return program_from_wire(wire)
+
+        try:
+            _serve_lines(daemon, [_compact_line(1, evaluate)])
+            monkeypatch.setattr("repro.service.stream.program_from_wire", counted)
+            replies = _serve_lines(daemon, [
+                _compact_line(2, evaluate),
+                _compact_line(3, evaluate),
+                _compact_line(4, {**evaluate, "trace": True}),
+            ])
+        finally:
+            daemon.close()
+        assert [json.loads(reply)["from_cache"] for reply in replies] == [True] * 3
+        assert daemon.wire_memo_counters["exact_hits"] == 1
+        assert calls == []
+
+    def test_fields_are_checked_before_the_cache_answers(self):
+        """A weighted evaluate shares its token (``hier=n/a``) with the
+        same request carrying a hierarchy, which the weighted model
+        cannot honor: a cached answer must not serve the invalid one."""
+        program = _program(520)
+        valid = evaluate_request(program, cost_model="weighted")
+        invalid = {**valid, "hierarchy": {"l1_size": 16384}}
+        daemon = SolverDaemon(
+            config=_fast_config(),
+            daemon_config=DaemonConfig(workers=1, shards=2),
+        )
+        try:
+            (miss,) = _serve_lines(daemon, [_compact_line(1, valid)])
+            replies = [
+                json.loads(reply)
+                for reply in _serve_lines(daemon, [
+                    _compact_line(2, valid),  # dict path; keys the bytes
+                    _compact_line(3, valid),
+                    _compact_line(4, invalid),
+                    _compact_line(5, invalid),
+                ])
+            ]
+        finally:
+            daemon.close()
+        assert not json.loads(miss)["from_cache"]
+        assert [r.get("from_cache") for r in replies[:2]] == [True, True]
+        assert daemon.wire_memo_counters["exact_hits"] == 1
+        for reply in replies[2:]:
+            assert reply["reason"] == BAD_REQUEST
+            assert "does not use a cache hierarchy" in reply["error"]
 
 
 _WORKER_PRELOAD_PROBE = """

@@ -139,48 +139,25 @@ class TestEvaluationService:
         )
         assert [r.cost_model for r in results] == ["simulated", "analytic"]
 
-    def test_batch_worker_pool_matches_sequential(self):
-        requests = [
-            EvaluationRequest(program=_program("p1")),
-            EvaluationRequest(program=_program("p2"), cost_model="analytic"),
-        ]
-        sequential = run_evaluation_batch(requests, config=_config())
-        pooled = run_evaluation_batch(requests, config=_config(), workers=2)
-        assert [r.value for r in pooled] == [r.value for r in sequential]
-        assert [r.program for r in pooled] == ["p1", "p2"]
-
-    def test_pooled_batch_prices_cached_optimizations(self):
-        """A pooled evaluate batch hands each miss its cached solve, so
-        no worker re-optimizes it, and answers as ``workers=1`` does."""
+    def test_cold_batch_caches_its_solves(self):
+        """An evaluate batch runs each program's optimization once and
+        caches it, so a solve batch over the same programs afterwards
+        is served wholly from the cache."""
         from repro.bench import BENCHMARK_NAMES, build_benchmark
         from repro.service.batch import run_batch
 
         programs = [build_benchmark(name) for name in BENCHMARK_NAMES]
-        requests = [
-            EvaluationRequest(program=program, cost_model="analytic")
-            for program in programs
-        ]
-        results = {}
-        for workers in (1, 2):
-            cache = ResultCache()
-            run_batch(programs, config=_config(), cache=cache)
-            hits = cache.stats.hits
-            results[workers] = run_evaluation_batch(
-                requests, config=_config(), cache=cache, workers=workers
-            )
-            assert cache.stats.hits - hits == len(programs)
-
-        def untimed(result):
-            return {**result.to_dict(), "seconds": None}
-
-        assert [untimed(r) for r in results[2]] == [
-            untimed(r) for r in results[1]
-        ]
-        assert [r.engine for r in results[2]] == [r.engine for r in results[1]]
-
-    def test_batch_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError, match="workers"):
-            run_evaluation_batch([], workers=0)
+        cache = ResultCache()
+        run_evaluation_batch(
+            [
+                EvaluationRequest(program=program, cost_model="analytic")
+                for program in programs
+            ],
+            config=_config(),
+            cache=cache,
+        )
+        report = run_batch(programs, config=_config(), cache=cache)
+        assert report.cache_hits == len(programs) == 5
 
     def test_in_process_batch_looks_each_request_up_once(self):
         """Each fresh request misses once on its evaluate token and
