@@ -2,7 +2,7 @@
 
 Not a paper table -- this measures the resident daemon's reason to
 exist: once a suite has been solved, a long-running daemon answers the
-same requests out of its sharded cache without touching a process
+same requests out of its result cache without touching a process
 pool, a solver, or even a network build.  The acceptance shape:
 
 * warm daemon throughput (requests/s over the streaming socket,
@@ -24,7 +24,7 @@ import time
 import pytest
 
 from repro.bench import random_suite
-from repro.service import PortfolioConfig, ShardedResultCache, run_batch
+from repro.service import PortfolioConfig, ResultCache, run_batch
 from repro.service.daemon import DaemonConfig, SolverDaemon
 from repro.service.stream import DaemonClient
 
@@ -47,9 +47,7 @@ def _batch_programs(programs):
 def test_warm_daemon_beats_cold_batch(benchmark, programs, build_options, tmp_path):
     batch = _batch_programs(programs)
     config = PortfolioConfig(schemes=PORTFOLIO, seed=HARNESS_SEED)
-    cache = ShardedResultCache(
-        shards=4, directory=str(tmp_path / "cache.d")
-    )
+    cache = ResultCache(path=str(tmp_path / "cache.json"))
 
     # -- cold: the one-shot in-process batch, sharing the daemon's cache.
     cold_start = time.perf_counter()
@@ -62,7 +60,7 @@ def test_warm_daemon_beats_cold_batch(benchmark, programs, build_options, tmp_pa
     daemon = SolverDaemon(
         config=config,
         options=build_options,
-        daemon_config=DaemonConfig(workers=2, shards=4, max_inflight=64),
+        daemon_config=DaemonConfig(workers=2, max_inflight=64),
         cache=cache,
     )
     socket_path = str(tmp_path / "daemon.sock")

@@ -6,7 +6,7 @@ daemon twice and asserts:
 
 * every response is ``ok`` on both passes;
 * the second pass serves **>= 50%** of requests from the daemon's
-  sharded cache;
+  result cache;
 * solve payloads are byte-identical across the two passes;
 * the ``engines`` breakdown in the daemon's ``stats`` response
   counts exactly one ladder run per program (``native`` + ``bitset``

@@ -79,7 +79,6 @@ _EXPORTS = {
     "PortfolioConfig": ".service",
     "PortfolioSolver": ".service",
     "ResultCache": ".service",
-    "ShardedResultCache": ".service",
     "SolverDaemon": ".service",
     "run_batch": ".service",
     "run_evaluation_batch": ".service",

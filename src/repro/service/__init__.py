@@ -7,7 +7,8 @@ scheme; this package turns it into a serving stack:
   fingerprints for programs, constraint networks and configurations
   (stable across processes: cache keys).
 * :mod:`repro.service.cache` -- an in-memory LRU result cache with
-  optional JSON persistence and hit/miss statistics.
+  optional persistence to one JSON file (merge-saved, so the daemon
+  and batch runs can share it) and hit/miss/save statistics.
 * :mod:`repro.service.portfolio` -- a result cache in front of the
   optimizer's ``build -> solve -> repair`` passes, whose solve climbs
   the deterministic scheme ladder of :mod:`repro.opt.ladder`: schemes
@@ -21,8 +22,8 @@ scheme; this package turns it into a serving stack:
   per-request cache-hierarchy overrides (one deployment, many
   machine models).
 * :mod:`repro.service.daemon` -- the resident solver daemon: an async
-  streaming loop over a persistent warm worker pool, fronted by a
-  *sharded* persistent result cache with backpressure.
+  streaming loop over a persistent warm worker pool, fronted by the
+  persistent result cache, with backpressure.
 * :mod:`repro.service.workers` -- the warm worker processes behind
   the daemon's pool, the one pool site.
 * :mod:`repro.service.stream` -- the daemon's JSON-lines wire protocol
@@ -40,7 +41,6 @@ _EXPORTS = {
     "run_batch": ".batch",
     "CacheStats": ".cache",
     "ResultCache": ".cache",
-    "ShardedResultCache": ".cache",
     "DaemonConfig": ".daemon",
     "SolverDaemon": ".daemon",
     "DaemonClient": ".stream",

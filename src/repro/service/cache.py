@@ -1,27 +1,20 @@
-"""Result caches for the layout solver service.
+"""The result cache of the layout solver service.
 
-Two tiers:
+:class:`ResultCache` is an in-memory LRU keyed by ``(request
+fingerprint, portfolio/scheme token)`` with optional JSON persistence
+to one file, so a daemon restart -- or the next invocation of the
+batch CLI -- serves repeat programs without re-running any solver.
+Values are plain JSON-serializable dicts (the portfolio layer owns
+(de)serialization of its results), which keeps the cache format
+inspectable with nothing but a text editor.  Entries may carry a
+time-to-live; expired entries are dropped on lookup and on load.
+``save(merge=True)`` folds the file's current contents back in under
+an advisory file lock, so several processes persisting to one path
+(the daemon and a batch run, say) lose no entries.
 
-* :class:`ResultCache` -- an in-memory LRU keyed by ``(request
-  fingerprint, portfolio/scheme token)`` with optional JSON
-  persistence, so a service restart -- or the next invocation of the
-  batch CLI -- serves repeat programs without re-running any solver.
-  Values are plain JSON-serializable dicts (the portfolio layer owns
-  (de)serialization of its results), which keeps the cache format
-  inspectable with nothing but a text editor.  Entries may carry a
-  time-to-live; expired entries are dropped on lookup and on load.
-  ``save(merge=True)`` folds the file's current contents back in under
-  an advisory file lock, so concurrent processes persisting to one
-  path lose no entries.
-
-* :class:`ShardedResultCache` -- N :class:`ResultCache` shards keyed
-  by fingerprint prefix, each with its own LRU bound, JSON file, and
-  stats.  Concurrent writers hash to different shards and stop
-  contending on one file; the resident daemon persists one shard at a
-  time.
-
-Hit/miss/eviction counters live in :class:`CacheStats`; the batch
-report surfaces them ("served N% from cache").
+Hit/miss/store/eviction/save counters live in :class:`CacheStats`;
+the batch report surfaces them ("served N% from cache") and the
+daemon exports them as ``repro_cache_*`` metrics.
 """
 
 from __future__ import annotations
@@ -32,7 +25,6 @@ import logging
 import os
 import tempfile
 import time
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -91,15 +83,9 @@ class CacheStats:
             "stores": self.stores,
             "evictions": self.evictions,
             "expirations": self.expirations,
+            "saves": self.saves,
+            "merge_saves": self.merge_saves,
         }
-
-    def add(self, other: "CacheStats") -> None:
-        """Fold another instance's counters into this one."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.evictions += other.evictions
-        self.expirations += other.expirations
 
 
 @contextlib.contextmanager
@@ -167,6 +153,11 @@ class ResultCache:
                 self._absorb(loaded)
 
     @property
+    def capacity(self) -> int:
+        """The LRU bound: most entries held in memory."""
+        return self._capacity
+
+    @property
     def path(self) -> str | None:
         """The persistence path (None for a memory-only cache)."""
         return self._path
@@ -226,7 +217,7 @@ class ResultCache:
 
         A point-in-time ``os.stat`` of the file as last saved -- not
         the in-memory footprint -- so ``stats`` and the metrics can
-        report the on-disk tier without opening any shard file.
+        report the on-disk tier without opening the file.
         """
         if self._path is None:
             return 0
@@ -308,8 +299,8 @@ class ResultCache:
                 (own entries win on key collisions), under an advisory
                 file lock -- so several processes saving to one path
                 lose none of each other's entries.  The default
-                overwrite semantics suit a single-writer CLI (and keep
-                :meth:`clear` + :meth:`save` meaning "empty the file").
+                overwrite keeps :meth:`clear` + :meth:`save` meaning
+                "empty the file".
         """
         if self._path is None:
             return
@@ -369,128 +360,8 @@ class ResultCache:
             raise
 
 
-def shard_index(fingerprint: str, shards: int) -> int:
-    """Which shard a fingerprint belongs to.
 
-    Fingerprints are hex digests (:mod:`repro.service.fingerprint`),
-    so the leading 8 hex characters give a uniform integer; arbitrary
-    strings (tests, foreign keys) fall back to CRC-32.  Stable across
-    processes and interpreter runs -- shard files must mean the same
-    thing to every writer.
-    """
-    if shards < 1:
-        raise ValueError("shards must be positive")
-    prefix = fingerprint[:8]
-    try:
-        value = int(prefix, 16)
-    except ValueError:
-        value = zlib.crc32(fingerprint.encode("utf-8"))
-    return value % shards
-
-
-class ShardedResultCache:
-    """N independent :class:`ResultCache` shards keyed by fingerprint prefix.
-
-    Each shard has its own LRU bound, JSON file (``shard-00.json`` ...
-    under ``directory``), and stats, so concurrent writers hash to
-    different files instead of contending on one.  The interface
-    mirrors :class:`ResultCache` (get/put/contains/save/clear/len),
-    so every cache consumer in the service layer accepts either.
-
-    Args:
-        shards: shard count (fixed for the life of the directory: the
-            shard of a fingerprint must not move between runs).
-        capacity: LRU bound *per shard*.
-        directory: optional persistence directory, created on demand;
-            None keeps all shards memory-only.
-        ttl_seconds: per-entry time-to-live applied by every shard.
-    """
-
-    def __init__(
-        self,
-        shards: int = 4,
-        capacity: int = 1024,
-        directory: str | None = None,
-        ttl_seconds: float | None = None,
-    ):
-        if shards < 1:
-            raise ValueError("shards must be positive")
-        self._directory = directory
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
-        self._shards = [
-            ResultCache(
-                capacity=capacity,
-                path=(
-                    os.path.join(directory, f"shard-{index:02d}.json")
-                    if directory is not None
-                    else None
-                ),
-                ttl_seconds=ttl_seconds,
-            )
-            for index in range(shards)
-        ]
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    @property
-    def directory(self) -> str | None:
-        """The persistence directory (None for memory-only)."""
-        return self._directory
-
-    def shard_for(self, fingerprint: str) -> ResultCache:
-        """The shard owning a fingerprint."""
-        return self._shards[shard_index(fingerprint, len(self._shards))]
-
-    def get(self, fingerprint: str, config_token: str) -> dict | None:
-        return self.shard_for(fingerprint).get(fingerprint, config_token)
-
-    def put(self, fingerprint: str, config_token: str, value: dict) -> None:
-        self.shard_for(fingerprint).put(fingerprint, config_token, value)
-
-    def contains(self, fingerprint: str, config_token: str) -> bool:
-        return self.shard_for(fingerprint).contains(fingerprint, config_token)
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def bytes_on_disk(self) -> int:
-        """Aggregate size of all persisted shard files."""
-        return sum(shard.bytes_on_disk() for shard in self._shards)
-
-    def entry_counts(self) -> list[int]:
-        """Live entry count per shard (index = shard number)."""
-        return [len(shard) for shard in self._shards]
-
-    def clear(self) -> None:
-        for shard in self._shards:
-            shard.clear()
-
-    def save(self, merge: bool = True) -> None:
-        """Persist every shard (merge-saves by default: the sharded
-        cache exists for concurrent writers)."""
-        for shard in self._shards:
-            shard.save(merge=merge)
-
-    @property
-    def stats(self) -> CacheStats:
-        """Aggregated counters across all shards (a snapshot)."""
-        total = CacheStats()
-        for shard in self._shards:
-            total.add(shard.stats)
-        return total
-
-    def shard_stats(self) -> list[dict]:
-        """Per-shard stats snapshot (for the daemon's ``stats`` kind)."""
-        return [
-            {
-                "shard": index,
-                "entries": len(shard),
-                "bytes_on_disk": shard.bytes_on_disk(),
-                "path": shard.path,
-                **shard.stats.as_dict(),
-            }
-            for index, shard in enumerate(self._shards)
-        ]
+#: ``perfbench/layers.py::wire_layers`` imports this name, and
+#: perfbench changes only together with the benchmark.  Delete the
+#: alias once ROADMAP item 2 has moved that import to ``ResultCache``.
+ShardedResultCache = ResultCache

@@ -13,13 +13,17 @@ served from the cache.
 
 Daemon mode::
 
-    python -m repro.service --serve --socket /tmp/repro.sock --shards 4
+    python -m repro.service --serve --socket /tmp/repro.sock
 
-runs the resident solver daemon (persistent worker pool, sharded
-persistent cache, JSON-lines streaming protocol -- see
+runs the resident solver daemon (persistent worker pool, persistent
+result cache, JSON-lines streaming protocol -- see
 :mod:`repro.service.daemon`) on one unix socket; without ``--socket``
 it serves stdin to stdout.  Any batch invocation becomes a thin
 client of that one daemon with ``--connect /tmp/repro.sock``.
+
+``--cache PATH`` and ``--no-cache`` mean the same for both modes: the
+batch CLI and the daemon read and merge-save one JSON file, so either
+serves what the other stored.
 """
 
 from __future__ import annotations
@@ -44,9 +48,6 @@ from repro.service.portfolio import DEFAULT_SCHEMES, PortfolioConfig, known_sche
 
 #: Default on-disk cache location (current directory: per-project).
 DEFAULT_CACHE_PATH = ".repro-service-cache.json"
-
-#: Default shard directory of the daemon's persistent cache.
-DEFAULT_CACHE_DIR = ".repro-service-cache.d"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     daemon = parser.add_argument_group(
         "daemon mode",
         "run as a resident streaming service (JSON-lines protocol, "
-        "persistent worker pool, sharded result cache) or talk to one",
+        "persistent worker pool, persistent result cache) or talk to one",
     )
     daemon.add_argument(
         "--serve",
@@ -187,24 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     daemon.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        metavar="N",
-        help="result-cache shard count for --serve (default 4)",
-    )
-    daemon.add_argument(
         "--max-inflight",
         type=int,
         default=32,
         metavar="N",
         help="bound on concurrently served daemon requests (default 32)",
-    )
-    daemon.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"daemon shard directory (default {DEFAULT_CACHE_DIR})",
     )
     daemon.add_argument(
         "--ttl",
@@ -421,7 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     print()
     print(report.format())
     if cache is not None:
-        cache.save()
+        _save(cache, args)
         stats = cache.stats
         print(
             f"  cache stats: hits={stats.hits} misses={stats.misses} "
@@ -481,8 +469,7 @@ def _run_daemon(args, config) -> int:
         daemon_config = DaemonConfig(
             workers=args.workers,
             max_inflight=args.max_inflight,
-            shards=args.shards,
-            cache_dir=None if args.no_cache else args.cache_dir,
+            cache_path=None if args.no_cache else args.cache,
             ttl_seconds=args.ttl,
         )
     except ValueError as exc:
@@ -491,8 +478,8 @@ def _run_daemon(args, config) -> int:
     print(
         f"repro layout daemon v{__version__} -- "
         f"portfolio [{', '.join(config.schemes)}], workers={args.workers}, "
-        f"shards={args.shards}, max_inflight={args.max_inflight}, "
-        f"cache={'memory-only' if args.no_cache else args.cache_dir}, "
+        f"max_inflight={args.max_inflight}, "
+        f"cache={'memory-only' if args.no_cache else args.cache}, "
         f"listening on {where}",
         file=sys.stderr,
         flush=True,
@@ -570,10 +557,18 @@ def _run_evaluation(args, config, programs, cache, client=None) -> int:
             )
             print(f"      hit rates: {rates}")
     if cache is not None:
-        cache.save()
+        _save(cache, args)
     if client is not None:
         client.close()
     return 0
+
+
+def _save(cache: ResultCache, args: argparse.Namespace) -> None:
+    """Persist the batch's cache.  A merge-save keeps what a daemon (or
+    another batch) stored in the same file meanwhile; after
+    ``--clear-cache`` a plain save overwrites it, so the file holds
+    this batch's answers alone."""
+    cache.save(merge=not args.clear_cache)
 
 
 def _cache_label(args, cache, client) -> str:

@@ -11,9 +11,10 @@ disk, and exited.  The daemon keeps all of that resident:
   built once around one optimizer pipeline -- so a miss pays only the
   ``build -> solve -> repair`` passes (each traced as ``pass:<name>``
   and timed in ``repro_pass_seconds``);
-* a **sharded** :class:`~repro.service.cache.ShardedResultCache`
-  consulted in the parent, so warm requests answer without touching a
-  worker at all;
+* one :class:`~repro.service.cache.ResultCache` consulted in the
+  parent, so warm requests answer without touching a worker at all,
+  and merge-saved to one JSON file, so a restart serves every answer
+  it stored;
 * an **asyncio** serving loop reading JSON-lines requests (see
   :mod:`repro.service.stream`) from one unix socket or from stdin,
   answering out of order as work completes;
@@ -90,7 +91,7 @@ from repro.opt.passes.base import PASS_SECONDS_METRIC
 from repro.opt.ladder import preload_schemes
 from repro.opt.network_builder import BuildOptions
 from repro.service import stream
-from repro.service.cache import ShardedResultCache
+from repro.service.cache import ResultCache
 from repro.service.evaluate import (
     EvaluationRequest,
     check_evaluation_fields,
@@ -110,6 +111,13 @@ logger = logging.getLogger(__name__)
 #: ``request_too_large`` error and the connection is closed.
 MAX_REQUEST_BYTES = 64 * 1024
 
+#: LRU bound of the daemon's result cache (and of its wire memo).
+CACHE_CAPACITY = 4096
+
+#: Fresh stores between two merge-saves of the cache file (the daemon
+#: also saves on shutdown).
+SAVE_EVERY = 64
+
 
 @dataclass(frozen=True)
 class DaemonConfig:
@@ -120,35 +128,22 @@ class DaemonConfig:
         workers: size of the persistent solve/evaluate process pool.
         max_inflight: bound on concurrently served misses; beyond it
             the daemon stops reading and lets the transport push back.
-        shards: result-cache shard count.
-        cache_dir: shard persistence directory (None = memory only).
-        cache_capacity: LRU bound per shard.
+        cache_path: the result cache's JSON file (None = memory only).
         ttl_seconds: optional per-entry time-to-live.
-        save_every: persist dirty shards after this many fresh stores
-            (and always on shutdown).
     """
 
     workers: int = 2
     max_inflight: int = 32
-    shards: int = 4
-    cache_dir: str | None = None
-    cache_capacity: int = 1024
+    cache_path: str | None = None
     ttl_seconds: float | None = None
-    save_every: int = 64
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be positive")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be positive")
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
-        if self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be positive")
         if self.ttl_seconds is not None and self.ttl_seconds <= 0:
             raise ValueError("ttl_seconds must be positive")
-        if self.save_every < 1:
-            raise ValueError("save_every must be positive")
 
 
 # -- the wire memo -------------------------------------------------------
@@ -282,12 +277,12 @@ class SolverDaemon:
         config: portfolio ladder run for solve misses (and evaluate
             requests without explicit layouts).
         options: network-construction options shared by all requests.
-        daemon_config: resident-service knobs (pool size, shards,
-            backpressure bound, TTL, persistence directory).
+        daemon_config: resident-service knobs (pool size, backpressure
+            bound, cache file, TTL).
         cache: pre-built result cache to serve from; by default one is
-            constructed from ``daemon_config`` (sharded, persistent
-            when ``cache_dir`` is set).  Passing a cache explicitly is
-            how benchmarks warm a daemon from a cold batch run.
+            constructed from ``daemon_config`` (persistent when
+            ``cache_path`` is set).  Passing a cache explicitly is how
+            benchmarks warm a daemon from a cold batch run.
         trace_log: path (or writable stream) receiving one JSON line
             per served solve/evaluate request's span tree.  Setting it
             also makes every request record a real span tree even when
@@ -310,10 +305,9 @@ class SolverDaemon:
         if cache is not None:
             self.cache = cache
         else:
-            self.cache = ShardedResultCache(
-                shards=self._daemon_config.shards,
-                capacity=self._daemon_config.cache_capacity,
-                directory=self._daemon_config.cache_dir,
+            self.cache = ResultCache(
+                capacity=CACHE_CAPACITY,
+                path=self._daemon_config.cache_path,
                 ttl_seconds=self._daemon_config.ttl_seconds,
             )
         self._pool: ProcessPoolExecutor | None = None
@@ -357,10 +351,8 @@ class SolverDaemon:
         #: repeat skips both; and the SHA-256 of a solve or evaluate
         #: line's bytes after its id, filled by a cache hit on such a
         #: line, so a repeat of those bytes skips the decode too.
-        #: Bounded like the result cache (capacity per shard x shards).
-        self._wire_memo = _BoundedMemo(
-            self._daemon_config.cache_capacity * self._daemon_config.shards
-        )
+        #: Bounded like the result cache.
+        self._wire_memo = _BoundedMemo(self.cache.capacity)
         #: ``exact_hits`` is the share of ``hits`` found by line bytes.
         self.wire_memo_counters = {"hits": 0, "misses": 0, "exact_hits": 0}
 
@@ -395,8 +387,7 @@ class SolverDaemon:
 
     def close(self) -> None:
         """Persist the cache and release the pool."""
-        self.cache.save()
-        self._unsaved_stores = 0
+        self._save()
         if self._pool is not None:
             pool, self._pool = self._pool, None
             pool.shutdown(wait=False, cancel_futures=True)
@@ -500,9 +491,6 @@ class SolverDaemon:
             # runs vectorized; the solvers never use numpy.
             "numpy": HAVE_NUMPY,
             "native": native_available(),
-            "shards": self.cache.shard_count
-            if hasattr(self.cache, "shard_count")
-            else 1,
         }
         return {
             "id": request_id,
@@ -513,7 +501,7 @@ class SolverDaemon:
 
     def stats(self) -> dict:
         """Serving counters plus cache statistics and engine breakdown."""
-        snapshot = {
+        return {
             "uptime_seconds": time.monotonic() - self._started_at,
             "counters": dict(self.counters),
             "engines": dict(self.engine_counters),
@@ -521,17 +509,17 @@ class SolverDaemon:
                 "entries": len(self._wire_memo),
                 **self.wire_memo_counters,
             },
-            "cache": {
-                "entries": len(self.cache),
-                **self.cache.stats.as_dict(),
-            },
+            "cache": self._cache_stats(),
             "passes": self._pass_stats(),
         }
-        if hasattr(self.cache, "bytes_on_disk"):
-            snapshot["cache"]["bytes_on_disk"] = self.cache.bytes_on_disk()
-        if hasattr(self.cache, "shard_stats"):
-            snapshot["cache"]["shards"] = self.cache.shard_stats()
-        return snapshot
+
+    def _cache_stats(self) -> dict:
+        """The result cache's size, on-disk bytes and counters."""
+        return {
+            "entries": len(self.cache),
+            "bytes_on_disk": self.cache.bytes_on_disk(),
+            **self.cache.stats.as_dict(),
+        }
 
     def _pass_stats(self) -> dict:
         """Per-pass wall clock accumulated from worker telemetry.
@@ -557,7 +545,7 @@ class SolverDaemon:
 
         Folds the live registry (request latency + accumulated worker
         deltas) together with the serving counters, the per-engine
-        breakdown, and per-shard cache statistics -- always into a
+        breakdown, and the result cache's statistics -- always into a
         *fresh* registry, so scraping twice never double-counts: each
         scrape re-derives totals from the live sources of truth.
         """
@@ -595,39 +583,18 @@ class SolverDaemon:
                 help="Solve/evaluate program wire forms found in (hit) or "
                 "missing from (miss) the wire-digest -> fingerprint memo.",
             ).inc(count)
-        if hasattr(self.cache, "shard_stats"):
-            shard_rows = self.cache.shard_stats()
-        else:
-            shard_rows = [
-                {"shard": 0, "entries": len(self.cache), **self.cache.stats.as_dict()}
-            ]
-        for row in shard_rows:
-            labels = {"shard": str(row["shard"])}
-            registry.gauge(
-                "repro_cache_entries",
-                labels,
-                help="Live entries per result-cache shard.",
-            ).set(row.get("entries", 0))
-            if "bytes_on_disk" in row:
-                registry.gauge(
-                    "repro_cache_bytes_on_disk",
-                    labels,
-                    help="Persisted bytes per result-cache shard.",
-                ).set(row["bytes_on_disk"])
-            for field in (
-                "hits",
-                "misses",
-                "stores",
-                "evictions",
-                "expirations",
-                "saves",
-                "merge_saves",
-            ):
-                registry.counter(
-                    f"repro_cache_{field}_total",
-                    labels,
-                    help=f"Result-cache {field.replace('_', '-')} per shard.",
-                ).inc(row.get(field, 0))
+        cache = self._cache_stats()
+        registry.gauge(
+            "repro_cache_entries", help="Live result-cache entries."
+        ).set(cache.pop("entries"))
+        registry.gauge(
+            "repro_cache_bytes_on_disk", help="Persisted result-cache bytes."
+        ).set(cache.pop("bytes_on_disk"))
+        for field, count in cache.items():
+            registry.counter(
+                f"repro_cache_{field}_total",
+                help=f"Result-cache {field.replace('_', '-')}.",
+            ).inc(count)
         return registry.snapshot()
 
     def _record_engine(self, data: dict) -> None:
@@ -907,7 +874,7 @@ class SolverDaemon:
 
         Only the dedup *owner* (the task that actually dispatched to
         the pool) stores the result -- twins share the answer without
-        re-storing it, so store counters and the periodic shard
+        re-storing it, so store counters and the periodic
         persistence see each fresh result exactly once.
         """
         key = f"{fingerprint}|{token}"
@@ -948,12 +915,17 @@ class SolverDaemon:
             self._pending.pop(key, None)
 
     def _store(self, fingerprint: str, token: str, value: dict) -> None:
-        """Cache a fresh exact result; persist shards periodically."""
+        """Cache a fresh exact result; persist periodically."""
         self.cache.put(fingerprint, token, value)
         self._unsaved_stores += 1
-        if self._unsaved_stores >= self._daemon_config.save_every:
-            self.cache.save()
-            self._unsaved_stores = 0
+        if self._unsaved_stores >= SAVE_EVERY:
+            self._save()
+
+    def _save(self) -> None:
+        """Merge-save the cache: another process (a batch run on the
+        same file, say) may have stored entries since the last save."""
+        self.cache.save(merge=True)
+        self._unsaved_stores = 0
 
     # -- serving loops ---------------------------------------------------
 

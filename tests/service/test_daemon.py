@@ -26,7 +26,7 @@ from repro.ir.parser import parse_program
 from repro.layout.layout import row_major
 from repro.opt.network_builder import BuildOptions
 from repro.service.batch import run_batch
-from repro.service.cache import ShardedResultCache
+from repro.service.cache import ResultCache
 from repro.service.daemon import (
     MAX_REQUEST_BYTES,
     DaemonConfig,
@@ -82,7 +82,7 @@ class _DaemonHarness:
             daemon_config=(
                 daemon_config
                 if daemon_config is not None
-                else DaemonConfig(workers=1, shards=2, max_inflight=8)
+                else DaemonConfig(workers=1, max_inflight=8)
             ),
             cache=cache,
         )
@@ -136,7 +136,7 @@ class TestProtocol:
             hello = client.ping()
         assert hello["ok"]
         assert hello["result"]["schemes"] == ["enhanced"]
-        assert hello["result"]["shards"] == 2
+        assert hello["result"]["workers"] == 1
 
     def test_malformed_line_gets_error_response_and_serving_continues(
         self, harness
@@ -195,7 +195,7 @@ class TestProtocol:
     def test_failed_request_gets_an_internal_reason(self, monkeypatch):
         daemon = SolverDaemon(
             config=_fast_config(),
-            daemon_config=DaemonConfig(workers=1, shards=1),
+            daemon_config=DaemonConfig(workers=1),
         )
 
         def broken(payload):
@@ -239,7 +239,7 @@ class TestMistypedProgramFields:
             wire["arrays"][0][0] = None
         daemon = SolverDaemon(
             config=_fast_config(),
-            daemon_config=DaemonConfig(workers=1, shards=1),
+            daemon_config=DaemonConfig(workers=1),
         )
         try:
             response = asyncio.run(daemon.handle_line(json.dumps(payload)))
@@ -271,7 +271,7 @@ class TestEvaluateLayoutsMismatch:
         )
         daemon = SolverDaemon(
             config=_fast_config(),
-            daemon_config=DaemonConfig(workers=1, shards=1),
+            daemon_config=DaemonConfig(workers=1),
         )
         try:
             response = asyncio.run(daemon.handle_line(json.dumps(payload)))
@@ -374,7 +374,7 @@ class TestServing:
             stats = client.stats()
         assert stats["counters"]["solve"] == 1
         assert stats["cache"]["entries"] == 1
-        assert len(stats["cache"]["shards"]) == 2
+        assert stats["cache"]["bytes_on_disk"] == 0  # memory-only
         assert stats["uptime_seconds"] > 0
 
 
@@ -472,17 +472,12 @@ class TestWireMemo:
         }
 
     def test_memo_is_bounded_by_the_cache_bound(self, tmp_path):
-        harness = _DaemonHarness(
-            tmp_path,
-            daemon_config=DaemonConfig(
-                workers=1, shards=2, cache_capacity=1, max_inflight=8
-            ),
-        )
+        harness = _DaemonHarness(tmp_path, cache=ResultCache(capacity=1))
         try:
             with harness.client() as client:
                 for index in range(4):
                     assert client.solve(_program(520 + 2 * index))["ok"]
-                    assert client.stats()["wire_memo"]["entries"] <= 2
+                    assert client.stats()["wire_memo"]["entries"] <= 1
         finally:
             harness.stop()
 
@@ -507,7 +502,7 @@ class TestWireMemo:
         request["program"]["arrays"][0][1][0] = Fraction(520)
         daemon = SolverDaemon(
             config=_fast_config(),
-            daemon_config=DaemonConfig(workers=1, shards=1),
+            daemon_config=DaemonConfig(workers=1),
         )
         try:
             response = asyncio.run(daemon.handle_request(request))
@@ -667,7 +662,7 @@ class TestStaleSocketReclaim:
         sock.close()  # simulate SIGKILL leftovers
         daemon = SolverDaemon(
             config=PortfolioConfig(schemes=("enhanced",)),
-            daemon_config=DaemonConfig(workers=1, shards=1),
+            daemon_config=DaemonConfig(workers=1),
         )
 
         async def bind_then_shutdown():
@@ -693,7 +688,7 @@ class TestShutdownSemantics:
         EOF, no further lines) must still exit on a shutdown request."""
         daemon = SolverDaemon(
             config=_fast_config(),
-            daemon_config=DaemonConfig(workers=1, shards=1),
+            daemon_config=DaemonConfig(workers=1),
         )
         written: list[bytes] = []
 
@@ -773,7 +768,7 @@ class TestShutdownSemantics:
         and the shutdown stream still answers its earlier request."""
         daemon = SolverDaemon(
             config=_fast_config(),
-            daemon_config=DaemonConfig(workers=1, shards=1),
+            daemon_config=DaemonConfig(workers=1),
         )
         written: list[bytes] = []
 
@@ -831,7 +826,7 @@ class TestShutdownSemantics:
     def test_cancellation_without_shutdown_propagates(self):
         daemon = SolverDaemon(
             config=_fast_config(),
-            daemon_config=DaemonConfig(workers=1, shards=1),
+            daemon_config=DaemonConfig(workers=1),
         )
 
         async def scenario():
@@ -855,15 +850,13 @@ class TestShutdownSemantics:
     def test_invalid_ttl_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="ttl_seconds"):
             DaemonConfig(ttl_seconds=0.0)
-        with pytest.raises(ValueError, match="cache_capacity"):
-            DaemonConfig(cache_capacity=0)
 
 
 class TestBackpressure:
     def test_max_inflight_one_still_serves_a_pipelined_batch(self, tmp_path):
         harness = _DaemonHarness(
             tmp_path,
-            daemon_config=DaemonConfig(workers=1, shards=2, max_inflight=1),
+            daemon_config=DaemonConfig(workers=1, max_inflight=1),
         )
         try:
             programs = [_program(520 + 2 * index) for index in range(6)]
@@ -884,7 +877,7 @@ class TestReadLoopHits:
     def test_pipelined_miss_then_hits_at_max_inflight_one(self, tmp_path):
         harness = _DaemonHarness(
             tmp_path,
-            daemon_config=DaemonConfig(workers=1, shards=2, max_inflight=1),
+            daemon_config=DaemonConfig(workers=1, max_inflight=1),
         )
         try:
             warm = [_program(520), _program(524)]
@@ -913,7 +906,7 @@ class TestReadLoopHits:
         is answered from the cache, not solved a second time."""
         harness = _DaemonHarness(
             tmp_path,
-            daemon_config=DaemonConfig(workers=1, shards=2, max_inflight=1),
+            daemon_config=DaemonConfig(workers=1, max_inflight=1),
         )
         try:
             program = _program(520)
@@ -1040,7 +1033,7 @@ def _warm_daemon(program, value=None, **config) -> SolverDaemon:
     """A daemon whose cache already holds ``program``'s solve."""
     daemon = SolverDaemon(
         config=_fast_config(),
-        daemon_config=DaemonConfig(workers=1, shards=2, **config),
+        daemon_config=DaemonConfig(workers=1, **config),
     )
     daemon.cache.put(
         request_fingerprint(program, BuildOptions()),
@@ -1190,7 +1183,7 @@ class TestExactBytesHits:
                 time.sleep(0.6)
             else:
                 daemon.cache.clear()
-            before = daemon.cache.stats
+            before = replace(daemon.cache.stats)  # a copy: stats is live
             (reply,) = _serve_lines(daemon, [_solve_line(3, wire)])
             after = daemon.cache.stats
         finally:
@@ -1252,7 +1245,7 @@ class TestExactBytesHits:
         program = _program(520, name="teed")
         daemon = SolverDaemon(
             config=_fast_config(),
-            daemon_config=DaemonConfig(workers=1, shards=2),
+            daemon_config=DaemonConfig(workers=1),
             trace_log=str(tmp_path / "trace.jsonl"),
         )
         daemon.cache.put(
@@ -1311,7 +1304,7 @@ class TestOneRequestPath:
         solve = solve_request(program)
         daemon = SolverDaemon(
             config=_fast_config(),
-            daemon_config=DaemonConfig(workers=1, shards=2),
+            daemon_config=DaemonConfig(workers=1),
         )
         try:
             (miss,) = _serve_lines(daemon, [_compact_line(1, evaluate)])
@@ -1346,7 +1339,7 @@ class TestOneRequestPath:
         evaluate = evaluate_request(program, cost_model="analytic")
         daemon = SolverDaemon(
             config=_fast_config(),
-            daemon_config=DaemonConfig(workers=1, shards=2),
+            daemon_config=DaemonConfig(workers=1),
         )
         calls = []
 
@@ -1377,7 +1370,7 @@ class TestOneRequestPath:
         invalid = {**valid, "hierarchy": {"l1_size": 16384}}
         daemon = SolverDaemon(
             config=_fast_config(),
-            daemon_config=DaemonConfig(workers=1, shards=2),
+            daemon_config=DaemonConfig(workers=1),
         )
         try:
             (miss,) = _serve_lines(daemon, [_compact_line(1, valid)])
@@ -1413,7 +1406,7 @@ def probe():
 
 daemon = SolverDaemon(
     config=PortfolioConfig(schemes=("enhanced", "cbj")),
-    daemon_config=DaemonConfig(workers=1, shards=1),
+    daemon_config=DaemonConfig(workers=1),
 )
 assert probe() == [], probe()  # the probe is not vacuous
 daemon.warm_up()
@@ -1490,13 +1483,11 @@ class TestThinClient:
 
 
 class TestPersistence:
-    def test_daemon_restart_serves_from_persisted_shards(self, tmp_path):
-        directory = str(tmp_path / "cache.d")
+    def test_daemon_restart_serves_from_its_cache_file(self, tmp_path):
+        config = DaemonConfig(workers=1, cache_path=str(tmp_path / "cache.json"))
         program = _program(520)
 
-        first = _DaemonHarness(
-            tmp_path, cache=ShardedResultCache(shards=2, directory=directory)
-        )
+        first = _DaemonHarness(tmp_path, daemon_config=config)
         try:
             with first.client() as client:
                 cold = client.solve(program)
@@ -1504,9 +1495,7 @@ class TestPersistence:
         finally:
             first.stop()
 
-        second = _DaemonHarness(
-            tmp_path, cache=ShardedResultCache(shards=2, directory=directory)
-        )
+        second = _DaemonHarness(tmp_path, daemon_config=config)
         try:
             with second.client() as client:
                 warm = client.solve(program)
@@ -1521,7 +1510,7 @@ class TestPersistence:
         """The core dispatcher is usable without any transport."""
         daemon = SolverDaemon(
             config=_fast_config(),
-            daemon_config=DaemonConfig(workers=1, shards=1),
+            daemon_config=DaemonConfig(workers=1),
         )
         try:
             response = asyncio.run(

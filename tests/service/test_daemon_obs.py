@@ -10,6 +10,7 @@ import pytest
 
 from repro.ir.parser import parse_program
 from repro.obs import parse_prometheus_text, span_from_dict
+from repro.service import daemon as daemon_module
 from repro.service.daemon import DaemonConfig, SolverDaemon
 from repro.service.portfolio import PortfolioConfig
 from repro.service.stream import DaemonClient, solve_request
@@ -38,10 +39,11 @@ def _fast_config() -> PortfolioConfig:
 class _Harness:
     """A daemon served from a background thread on a tmp unix socket."""
 
-    def __init__(self, tmp_path, trace_log=None):
+    def __init__(self, tmp_path, trace_log=None, daemon_config=None):
         self.daemon = SolverDaemon(
             config=_fast_config(),
-            daemon_config=DaemonConfig(workers=1, shards=2, max_inflight=8),
+            daemon_config=daemon_config
+            or DaemonConfig(workers=1, max_inflight=8),
             trace_log=trace_log,
         )
         self.socket_path = str(tmp_path / "daemon.sock")
@@ -183,7 +185,7 @@ class TestMetricsKind:
         assert parsed["types"]["repro_request_seconds"] == "histogram"
         assert "repro_request_seconds_count" in series
         assert "repro_daemon_uptime_seconds" in series
-        # Cache, per shard.
+        # Cache.
         assert "repro_cache_hits_total" in series
         assert "repro_cache_misses_total" in series
         assert "repro_cache_evictions_total" in series
@@ -213,6 +215,32 @@ class TestMetricsKind:
             second = cache_hits(client.metrics())
         assert first >= 1
         assert second > first
+
+    def test_cache_save_counters_reach_the_scrape(self, tmp_path, monkeypatch):
+        """The daemon's periodic merge-save shows in ``saves_total`` and
+        ``merge_saves_total``, not just in the cache's own stats."""
+        monkeypatch.setattr(daemon_module, "SAVE_EVERY", 1)
+        harness = _Harness(
+            tmp_path,
+            daemon_config=DaemonConfig(
+                workers=1, cache_path=str(tmp_path / "cache.json")
+            ),
+        )
+        try:
+            with harness.client() as client:
+                client.solve(_program(307, "saved"))
+                parsed = parse_prometheus_text(client.metrics())
+        finally:
+            harness.stop()
+        samples = {
+            name: value
+            for name, labels, value in parsed["samples"]
+            if name.startswith("repro_cache_")
+        }
+        assert samples["repro_cache_stores_total"] == 1
+        assert samples["repro_cache_saves_total"] == 1
+        assert samples["repro_cache_merge_saves_total"] == 1
+        assert samples["repro_cache_bytes_on_disk"] > 0
 
     def test_request_latency_histogram_counts_requests(self, harness):
         with harness.client() as client:

@@ -100,7 +100,7 @@ class TestConnect:
         path = str(tmp_path / "d:1.sock")
         daemon = SolverDaemon(
             config=PortfolioConfig(schemes=("enhanced",)),
-            daemon_config=DaemonConfig(workers=1, shards=1),
+            daemon_config=DaemonConfig(workers=1),
         )
         thread = threading.Thread(
             target=lambda: asyncio.run(daemon.serve_unix(path)), daemon=True
@@ -147,6 +147,119 @@ class TestConnect:
         assert result.returncode != 0
         assert "cannot connect to daemon" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+def _serve(socket_path: str, cache: str) -> subprocess.Popen:
+    """``--serve`` on a unix socket and a ``--cache`` file, once bound."""
+    daemon = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.service", "--serve",
+            "--socket", socket_path, "--cache", cache,
+            "--portfolio", "enhanced", "--workers", "1",
+        ],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 60.0
+    try:
+        while not os.path.exists(socket_path):
+            assert daemon.poll() is None, "daemon exited"
+            assert time.monotonic() < deadline, "daemon never bound"
+            time.sleep(0.02)
+    except BaseException:
+        daemon.kill()
+        daemon.wait()
+        raise
+    return daemon
+
+
+def _shut_down(daemon: subprocess.Popen, socket_path: str) -> None:
+    try:
+        with DaemonClient(socket_path) as client:
+            assert client.shutdown()["ok"]
+        assert daemon.wait(timeout=60) == 0
+    finally:
+        if daemon.poll() is None:  # pragma: no cover - a stuck daemon
+            daemon.kill()
+            daemon.wait()
+
+
+class TestSharedCacheFile:
+    """``--cache`` names one file for the daemon and the batch CLI, and
+    neither drops what the other stored there."""
+
+    def test_daemon_and_batch_keep_each_others_answers(self, tmp_path):
+        cache = str(tmp_path / "cache.json")
+        socket_path = str(tmp_path / "d.sock")
+        mxm, radar = build_benchmark("MxM"), build_benchmark("Radar")
+
+        daemon = _serve(socket_path, cache)
+        try:
+            with DaemonClient(socket_path) as client:
+                assert not client.solve(mxm)["from_cache"]
+        finally:
+            _shut_down(daemon, socket_path)
+
+        output = _run_cli(
+            "--programs", "MxM,Radar", "--portfolio", "enhanced", "--cache", cache
+        )
+        assert "served 1/2 from cache" in output
+        assert [line.split()[:2] for line in output.splitlines()[1:3]] == [
+            ["MxM", "cache"], ["Radar", "winner=enhanced"]
+        ]
+
+        daemon = _serve(socket_path, cache)
+        try:
+            with DaemonClient(socket_path) as client:
+                replies = client.solve_many([mxm, radar])
+        finally:
+            _shut_down(daemon, socket_path)
+        assert [reply["from_cache"] for reply in replies] == [True, True]
+
+    def test_batch_keeps_entries_saved_during_its_run(self, tmp_path):
+        """Another process (a daemon, say) merge-saves to the file while
+        the batch runs: the batch's own save must not drop that."""
+        cache = str(tmp_path / "cache.json")
+        script = (
+            "import sys\n"
+            "from repro.service import cli\n"
+            "from repro.service.cache import ResultCache\n"
+            "real = cli.run_batch\n"
+            "def run_batch(*args, **kwargs):\n"
+            "    report = real(*args, **kwargs)\n"
+            "    other = ResultCache(path=sys.argv[-1])\n"
+            "    other.put('fp', 'token', {'v': 1})\n"
+            "    other.save(merge=True)\n"
+            "    return report\n"
+            "cli.run_batch = run_batch\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        result = subprocess.run(
+            [
+                sys.executable, "-c", script,
+                "--programs", "MxM", "--portfolio", "enhanced", "--cache", cache,
+            ],
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert result.returncode == 0, result.stderr
+        reloaded = ResultCache(path=cache)
+        assert len(reloaded) == 2
+        assert reloaded.get("fp", "token") == {"v": 1}
+
+    def test_clear_cache_overwrites_the_file(self, tmp_path):
+        cache = str(tmp_path / "cache.json")
+        other = ResultCache(path=cache)
+        other.put("fp", "token", {"v": 1})
+        other.save()
+        _run_cli(
+            "--programs", "MxM", "--portfolio", "enhanced",
+            "--cache", cache, "--clear-cache",
+        )
+        reloaded = ResultCache(path=cache)
+        assert len(reloaded) == 1
+        assert not reloaded.contains("fp", "token")
 
 
 class TestBatchApi:

@@ -1,4 +1,9 @@
-"""Sharded cache: routing, TTL, tolerant loads, concurrent persistence."""
+"""Result-cache persistence: TTL, tolerant loads, merge-saves and
+several processes sharing one cache file.
+
+The module and class names date from the sharded cache tier, which
+is gone; they are kept so the tests keep their ids.
+"""
 
 import json
 import multiprocessing
@@ -7,50 +12,12 @@ import time
 
 import pytest
 
-from repro.service.cache import (
-    ResultCache,
-    ShardedResultCache,
-    shard_index,
-)
-
-
-def _fp(value: int) -> str:
-    """A hex fingerprint whose shard-keying *prefix* varies."""
-    return f"{value:08x}" + "f" * 24
-
-
-class TestShardRouting:
-    def test_hex_fingerprints_spread_over_shards(self):
-        indices = {shard_index(_fp(value), 4) for value in range(64)}
-        assert indices == {0, 1, 2, 3}
-
-    def test_non_hex_keys_still_route_deterministically(self):
-        assert shard_index("fp-one", 4) == shard_index("fp-one", 4)
-        assert 0 <= shard_index("fp-one", 4) < 4
-
-    def test_routing_is_stable_across_instances(self):
-        """Shard of a fingerprint must never move between runs."""
-        cache_a = ShardedResultCache(shards=8)
-        cache_b = ShardedResultCache(shards=8)
-        for value in range(32):
-            fingerprint = _fp(value)
-            assert cache_a.shard_for(fingerprint) is cache_a._shards[
-                shard_index(fingerprint, 8)
-            ]
-            assert shard_index(fingerprint, 8) == shard_index(fingerprint, 8)
-            cache_b.put(fingerprint, "cfg", {"v": value})
-        assert len(cache_b) == 32
-
-    def test_shards_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ShardedResultCache(shards=0)
-        with pytest.raises(ValueError):
-            shard_index("00", 0)
+from repro.service.cache import ResultCache
 
 
 class TestShardedSemantics:
     def test_get_put_contains_len_clear(self):
-        cache = ShardedResultCache(shards=4, capacity=8)
+        cache = ResultCache(capacity=8)
         assert cache.get("0abc", "cfg") is None
         cache.put("0abc", "cfg", {"v": 1})
         assert cache.get("0abc", "cfg") == {"v": 1}
@@ -59,73 +26,25 @@ class TestShardedSemantics:
         cache.clear()
         assert len(cache) == 0
 
-    def test_stats_aggregate_across_shards(self):
-        cache = ShardedResultCache(shards=4)
-        for value in range(16):
-            fingerprint = _fp(value)
-            cache.put(fingerprint, "cfg", {"v": value})
-            cache.get(fingerprint, "cfg")
-        cache.get("feedfeedfeedfeedfeedfeedfeedfeed", "cfg")
-        stats = cache.stats
-        assert stats.stores == 16
-        assert stats.hits == 16
-        assert stats.misses == 1
-        per_shard = cache.shard_stats()
-        assert len(per_shard) == 4
-        assert sum(row["stores"] for row in per_shard) == 16
-        assert sum(row["entries"] for row in per_shard) == len(cache)
-        assert all("bytes_on_disk" in row for row in per_shard)
-
     def test_entry_counts_and_bytes_on_disk(self, tmp_path):
-        """``stats`` and the metrics report entry counts per shard and
-        real persisted bytes."""
-        directory = str(tmp_path / "cache.d")
-        cache = ShardedResultCache(shards=4, directory=directory)
-        assert cache.entry_counts() == [0, 0, 0, 0]
+        """``stats`` and the metrics report the entry count and the
+        real persisted bytes of the one cache file."""
+        path = tmp_path / "cache.json"
+        cache = ResultCache(capacity=64, path=str(path))
+        assert len(cache) == 0
         assert cache.bytes_on_disk() == 0  # nothing persisted yet
         for value in range(16):
-            cache.put(_fp(value), "cfg", {"v": value})
-        assert sum(cache.entry_counts()) == 16
-        cache.save()
-        total = cache.bytes_on_disk()
-        assert total > 0
-        per_shard = cache.shard_stats()
-        assert sum(row["bytes_on_disk"] for row in per_shard) == total
-        on_disk = sum(
-            os.path.getsize(os.path.join(directory, name))
-            for name in os.listdir(directory)
-            if name.endswith(".json")
-        )
-        assert total == on_disk
+            cache.put(f"{value:08x}", "cfg", {"v": value})
+        assert len(cache) == 16
+        cache.save(merge=True)
+        assert cache.bytes_on_disk() == os.path.getsize(path) > 0
+        assert sorted(os.listdir(tmp_path)) == ["cache.json", "cache.json.lock"]
 
     def test_memory_only_cache_reports_zero_bytes(self):
-        cache = ShardedResultCache(shards=2)
-        cache.put(_fp(1), "cfg", {"v": 1})
+        cache = ResultCache()
+        cache.put("00000001", "cfg", {"v": 1})
         cache.save()
         assert cache.bytes_on_disk() == 0
-
-    def test_capacity_is_per_shard(self):
-        cache = ShardedResultCache(shards=2, capacity=2)
-        for value in range(16):
-            cache.put(_fp(value), "cfg", {"v": value})
-        assert len(cache) <= 4
-        assert cache.stats.evictions >= 12
-
-    def test_persistence_layout_on_disk(self, tmp_path):
-        directory = str(tmp_path / "cache.d")
-        cache = ShardedResultCache(shards=3, directory=directory)
-        for value in range(12):
-            cache.put(_fp(value), "cfg", {"v": value})
-        cache.save()
-        files = sorted(
-            name for name in os.listdir(directory) if name.endswith(".json")
-        )
-        assert files == ["shard-00.json", "shard-01.json", "shard-02.json"]
-
-        reloaded = ShardedResultCache(shards=3, directory=directory)
-        assert len(reloaded) == 12
-        for value in range(12):
-            assert reloaded.get(_fp(value), "cfg") == {"v": value}
 
 
 class TestTtl:
@@ -151,13 +70,6 @@ class TestTtl:
     def test_ttl_must_be_positive(self):
         with pytest.raises(ValueError):
             ResultCache(ttl_seconds=0.0)
-
-    def test_sharded_cache_applies_ttl(self):
-        cache = ShardedResultCache(shards=2, ttl_seconds=0.05)
-        cache.put("0abc", "cfg", {"v": 1})
-        time.sleep(0.06)
-        assert cache.get("0abc", "cfg") is None
-        assert cache.stats.expirations == 1
 
 
 class TestTolerantLoads:
@@ -245,16 +157,6 @@ def _hammer_cache(path: str, label: int, entries: int) -> None:
         cache.save(merge=True)
 
 
-def _hammer_shards(directory: str, label: int, entries: int) -> None:
-    """Worker: insert into a sharded cache and merge-save repeatedly."""
-    cache = ShardedResultCache(shards=4, capacity=4096, directory=directory)
-    for index in range(entries):
-        cache.put(f"{label:02x}{index:02x}{'0' * 28}", "cfg", {"w": label, "i": index})
-        if index % 4 == 3:
-            cache.save()
-    cache.save()
-
-
 def _read_forever(path: str, stop_path: str, failures: multiprocessing.Queue) -> None:
     """Worker: reload the cache file in a tight loop, recording torn reads."""
     while not os.path.exists(stop_path):
@@ -316,24 +218,3 @@ class TestMultiProcessSharing:
             reader.terminate()
             reader.join()
         assert failures.empty(), failures.get()
-
-    def test_concurrent_sharded_writers_lose_no_entries(self, tmp_path):
-        directory = str(tmp_path / "cache.d")
-        context = multiprocessing.get_context("fork")
-        workers = [
-            context.Process(
-                target=_hammer_shards, args=(directory, label, self.ENTRIES)
-            )
-            for label in (1, 2)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-            assert worker.exitcode == 0
-        final = ShardedResultCache(shards=4, capacity=4096, directory=directory)
-        assert len(final) == 2 * self.ENTRIES
-        for label in (1, 2):
-            for index in range(self.ENTRIES):
-                key = f"{label:02x}{index:02x}{'0' * 28}"
-                assert final.get(key, "cfg") == {"w": label, "i": index}
