@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke check for the optimizer pass pipeline.
 
-Four gates, all over the five paper programs:
+Five gates, all over the five paper programs:
 
 * **Default-pipeline equivalence** -- runs each program through
   ``LayoutOptimizer``'s default pipeline and asserts layouts, solver
@@ -20,6 +20,14 @@ Four gates, all over the five paper programs:
   ``"table3"`` entries exactly (the enhanced counts sum to perfbench's
   ``sim_cycles``).  The base scheme stays out: CI runs it only at a
   node cap.
+* **Table 2 per scheme** -- builds each program's network once and
+  solves it with the Table 2 harness's schemes at its seed: base (at
+  CI's Table 2 node cap, so four of the five programs stop there and
+  are recorded as ``capped``), cbj, forward checking and the weighted
+  branch & bound, plus the heuristic.  Layouts (repaired and completed
+  the way ``benchmarks/conftest.py``'s ``scheme_outcomes`` does),
+  nodes, consistency checks, backtracks and exactness must match the
+  ``"table2"`` entries exactly.
 * **Extended-pipeline composition** -- reruns each program through a
   reordered/extended pipeline (``build, solve, repair, joint,
   dynamic, transform``) under span recording, asserting it completes,
@@ -47,7 +55,11 @@ from repro.bench.programs import (
     benchmark_build_options,
     build_benchmark,
 )
+from repro.csp.backjumping import ConflictDirectedSolver
+from repro.csp.backtracking import BacktrackingSolver
 from repro.csp.enhanced import EnhancedSolver
+from repro.csp.forward_checking import ForwardCheckingSolver
+from repro.csp.weighted import BranchAndBoundSolver
 from repro.eval import AnalyticCostModel
 from repro.layout.layout import row_major
 from repro.obs import trace as obs_trace
@@ -63,8 +75,13 @@ EXPECTATIONS = Path(__file__).with_name("pipeline_expectations.json")
 #: The reordered/extended pipeline of gate (b).
 EXTENDED_PASSES = ("build", "solve", "repair", "joint", "dynamic", "transform")
 
-#: Solver seed of the Table 3 gate (``HARNESS_SEED`` of the benchmarks).
-TABLE3_SEED = 1
+#: Solver seed of the Table 2 and 3 gates (``HARNESS_SEED`` of the
+#: benchmarks).
+HARNESS_SEED = 1
+
+#: Base-scheme node budget of the Table 2 gate: the
+#: ``REPRO_BENCH_NODE_CAP`` CI runs the Table 2 bench at.
+TABLE2_NODE_CAP = 200_000
 
 
 def _outcome_record(outcome) -> dict:
@@ -109,7 +126,7 @@ def _table3_cycles() -> dict:
     for name in BENCHMARK_NAMES:
         program = build_benchmark(name)
         network = build_layout_network(program, options).network
-        enhanced = dict(EnhancedSolver(seed=TABLE3_SEED).solve(network).assignment)
+        enhanced = dict(EnhancedSolver(seed=HARNESS_SEED).solve(network).assignment)
         repair_inflation(network, enhanced, program)
         for decl in program.arrays:
             enhanced.setdefault(decl.name, row_major(decl.rank))
@@ -129,6 +146,59 @@ def _table3_cycles() -> dict:
     return records
 
 
+def _scheme_record(program, network, result, exact, capped=None) -> dict:
+    """Layouts (repaired, completed), effort counters and exactness."""
+    record = {
+        "exact": exact,
+        "layouts": None,
+        "nodes": result.stats.nodes,
+        "checks": result.stats.consistency_checks,
+        "backtracks": result.stats.backtracks,
+    }
+    if capped is not None:
+        record["capped"] = capped
+    if result.assignment is not None:
+        layouts = dict(result.assignment)
+        repair_inflation(network, layouts, program)
+        for decl in program.arrays:
+            layouts.setdefault(decl.name, row_major(decl.rank))
+        record["layouts"] = layouts_to_wire(layouts)
+    return record
+
+
+def _table2_outcomes() -> dict:
+    """Per program: the heuristic's layouts and each search scheme's run."""
+    options = benchmark_build_options()
+    records = {}
+    for name in BENCHMARK_NAMES:
+        program = build_benchmark(name)
+        built = build_layout_network(program, options)
+        network = built.network
+        heuristic = HeuristicOptimizer(
+            options.include_reversals, options.skew_factors
+        ).optimize(program)
+        base = BacktrackingSolver(
+            seed=HARNESS_SEED, max_nodes=TABLE2_NODE_CAP
+        ).solve(network)
+        cbj = ConflictDirectedSolver(seed=HARNESS_SEED).solve(network)
+        forward = ForwardCheckingSolver(seed=HARNESS_SEED).solve(network)
+        weighted = BranchAndBoundSolver().solve(built.weighted())
+        records[name] = {
+            "heuristic": {"layouts": layouts_to_wire(heuristic.layouts)},
+            "base": _scheme_record(
+                program, network, base, base.satisfiable, not base.complete
+            ),
+            "cbj": _scheme_record(program, network, cbj, cbj.satisfiable),
+            "forward-checking": _scheme_record(
+                program, network, forward, forward.satisfiable
+            ),
+            "weighted": _scheme_record(
+                program, network, weighted, weighted.fully_satisfied
+            ),
+        }
+    return {"node_cap": TABLE2_NODE_CAP, "seed": HARNESS_SEED, "programs": records}
+
+
 def record() -> int:
     EXPECTATIONS.write_text(
         json.dumps(
@@ -138,6 +208,7 @@ def record() -> int:
                 "programs": _default_outcomes(),
                 "ladder": _ladder_outcomes(),
                 "table3": _table3_cycles(),
+                "table2": _table2_outcomes(),
             },
             indent=2,
             sort_keys=True,
@@ -221,6 +292,38 @@ def check_table3() -> int:
     return failures
 
 
+def check_table2() -> int:
+    expected = json.loads(EXPECTATIONS.read_text()).get("table2")
+    if expected is None:
+        print(f"FAIL: no table2 expectations in {EXPECTATIONS}; "
+              "run with --record first")
+        return 1
+    got = _table2_outcomes()
+    failures = 0
+    for field in ("node_cap", "seed"):
+        if got[field] != expected[field]:
+            print(f"FAIL: Table 2 {field} {got[field]} differs from the "
+                  f"recorded {expected[field]}")
+            failures += 1
+    for name, schemes in got["programs"].items():
+        want = expected["programs"].get(name)
+        if want is None:
+            print(f"FAIL: {name}: no recorded Table 2 expectation")
+            failures += 1
+            continue
+        drifted = [scheme for scheme in schemes if schemes[scheme] != want.get(scheme)]
+        for scheme in drifted:
+            print(f"FAIL: {name}: Table 2 {scheme} drifted from expectation\n"
+                  f"  want: {want.get(scheme)}\n  got:  {schemes[scheme]}")
+        failures += len(drifted)
+        if not drifted:
+            base = schemes["base"]
+            print(f"ok: {name}: Table 2 schemes identical (base "
+                  f"{base['nodes']:,} nodes"
+                  f"{', capped' if base['capped'] else ''})")
+    return failures
+
+
 def check_extended_pipeline() -> int:
     options = benchmark_build_options()
     analytic = AnalyticCostModel()
@@ -284,6 +387,7 @@ def main(argv) -> int:
         return 1
     failures += check_default_ladder()
     failures += check_table3()
+    failures += check_table2()
     failures += check_extended_pipeline()
     if failures:
         print(f"pipeline smoke: {failures} failure(s)")

@@ -25,15 +25,18 @@ Compilation is cached on the network (keyed by its mutation revision,
 so a network extended after compilation recompiles transparently) and
 round-trips back to named assignments at the boundary via
 :meth:`CompiledNetwork.to_named` / :meth:`CompiledNetwork.to_indices`.
-The kernel is picklable, so a compiled form can cross a process
-boundary without recompiling.
+A builder that already holds the support masks skips compilation:
+:func:`network_from_supports` makes the authoring network from them and
+seeds the cache at its revision with the equal kernel (the layout
+network builder does this).  The kernel is picklable, so a compiled
+form can cross a process boundary without recompiling.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterator, Mapping, Sequence
 
-from repro.csp.network import ConstraintNetwork
+from repro.csp.network import BinaryConstraint, ConstraintNetwork
 
 Value = Hashable
 
@@ -99,6 +102,7 @@ class CompiledNetwork:
         neighbors: tuple[tuple[int, ...], ...],
         supports: dict[tuple[int, int], tuple[int, ...]],
         pairs: tuple[tuple[int, int], ...],
+        value_index: tuple[dict[Value, int], ...],
     ):
         self.names = names
         self.domains = domains
@@ -106,9 +110,7 @@ class CompiledNetwork:
         self.supports = supports
         self.pairs = pairs
         self.index_of = {name: i for i, name in enumerate(names)}
-        self.value_index = tuple(
-            {value: a for a, value in enumerate(domain)} for domain in domains
-        )
+        self.value_index = value_index
         self.full_masks = tuple((1 << len(domain)) - 1 for domain in domains)
         order = sorted(range(len(names)), key=lambda i: names[i])
         rank = [0] * len(names)
@@ -281,9 +283,79 @@ def compile_network(network: ConstraintNetwork) -> CompiledNetwork:
         neighbors=tuple(tuple(sorted(s)) for s in neighbor_sets),
         supports=supports,
         pairs=tuple(pairs),
+        value_index=value_index,
     )
     network._compiled_cache = (network.revision, kernel)
     return kernel
+
+
+def network_from_supports(
+    names: Sequence[str],
+    value_index: Sequence[dict[Value, int]],
+    constraints: Sequence[tuple[int, int, Sequence[int]]],
+) -> ConstraintNetwork:
+    """A network built straight from per-value support masks, compiled.
+
+    ``value_index[i]`` maps each domain value of variable ``names[i]``
+    to its index, in domain order.  ``constraints`` lists ``(i, j,
+    forward)`` in insertion order: ``forward[a]`` is the bitmask over
+    ``j``'s domain of the values compatible with value ``a`` of ``i``
+    (the kernel's ``supports[(i, j)]``).  The result equals a network
+    built by :meth:`~ConstraintNetwork.add_variable` and
+    :meth:`~ConstraintNetwork.add_constraint` in the same order, each
+    pair frozenset materialized from the masks, and its kernel is
+    already cached at the network's revision, equal to what
+    :func:`compile_network` would make.  The per-pair domain checks and
+    the re-indexing of both are skipped, so the caller vouches for the
+    input: non-empty domains, distinct endpoints, one constraint per
+    pair, masks inside the partner's domain.
+    """
+    domains = tuple(tuple(index) for index in value_index)
+    network = ConstraintNetwork()
+    network._domains = dict(zip(names, domains))
+    network._neighbors = {name: set() for name in names}
+    neighbor_sets: list[set[int]] = [set() for _ in names]
+    supports: dict[tuple[int, int], tuple[int, ...]] = {}
+    pairs: list[tuple[int, int]] = []
+    for i, j, forward in constraints:
+        first, second = names[i], names[j]
+        domain_i, domain_j = domains[i], domains[j]
+        backward = [0] * len(domain_j)
+        allowed = []
+        for a, mask in enumerate(forward):
+            value = domain_i[a]
+            bit = 1 << a
+            # Lowest-set-bit loop inline rather than iter_bits: a mask
+            # here is one domain wide, a few dozen bits, where a
+            # generator per mask costs more than its bits.
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                b = low.bit_length() - 1
+                allowed.append((value, domain_j[b]))
+                backward[b] |= bit
+        network._constraints[frozenset((first, second))] = BinaryConstraint(
+            first, second, frozenset(allowed)
+        )
+        network._neighbors[first].add(second)
+        network._neighbors[second].add(first)
+        supports[(i, j)] = tuple(forward)
+        supports[(j, i)] = tuple(backward)
+        pairs.append((i, j))
+        neighbor_sets[i].add(j)
+        neighbor_sets[j].add(i)
+    # One step per add_variable and per add_constraint it stands for.
+    network._revision = len(names) + len(constraints)
+    kernel = CompiledNetwork(
+        names=tuple(names),
+        domains=domains,
+        neighbors=tuple(tuple(sorted(s)) for s in neighbor_sets),
+        supports=supports,
+        pairs=tuple(pairs),
+        value_index=tuple(value_index),
+    )
+    network._compiled_cache = (network.revision, kernel)
+    return network
 
 
 def as_compiled(network: ConstraintNetwork | CompiledNetwork) -> CompiledNetwork:

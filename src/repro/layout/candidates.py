@@ -13,12 +13,15 @@ from dataclasses import dataclass
 from repro.ir.loops import LoopNest
 from repro.ir.program import Program
 from repro.layout.layout import Layout, standard_layouts
-from repro.layout.locality import layout_for_deltas, matrix_delta
-from repro.transform.catalog import legal_transforms
-from repro.transform.unimodular_loop import LoopTransform
+from repro.layout.locality import layout_for_deltas
+from repro.transform.catalog import BoundedIntern, nest_transforms
+
+#: The memo's (array, layout) pairs: a few hundred distinct ones make up
+#: the tens of thousands a few hundred programs' combos hold.
+_intern_pair = BoundedIntern(16384)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayoutCombo:
     """The preferred layouts of a nest's arrays under one restructuring.
 
@@ -45,26 +48,6 @@ class LayoutCombo:
         return tuple(name for name, _ in self.assignments)
 
 
-def _combo_for_transform(
-    nest: LoopNest,
-    accesses: list[tuple[str, int, list[tuple[tuple[int, ...], ...]]]],
-    transform: LoopTransform,
-) -> LayoutCombo:
-    """Preferred layouts of every array in the nest under one transform.
-
-    ``accesses`` lists, per array of the nest in name order, its rank
-    and the access matrices of its references.
-    """
-    direction = transform.innermost_direction()
-    assignments: list[tuple[str, Layout]] = []
-    for array_name, rank, matrices in accesses:
-        deltas = [matrix_delta(matrix, direction) for matrix in matrices]
-        layout = layout_for_deltas(deltas, rank)
-        if layout is not None:
-            assignments.append((array_name, layout))
-    return LayoutCombo(nest.name, transform.name, tuple(assignments))
-
-
 def nest_layout_combos(
     program: Program,
     nest: LoopNest,
@@ -78,12 +61,13 @@ def nest_layout_combos(
     name; combos constraining no array are dropped.
 
     Results are memoized on the (immutable) program: deriving the
-    combos means enumerating legal unimodular transforms and running
-    exact rational linear algebra per transform, and every consumer --
-    the per-array domain derivation, the network builder, the heuristic
-    optimizer -- asks for the same nests.  The memo rides along when a
-    program is pickled to a worker process, so workers skip the
-    enumeration too.
+    combos means running exact rational linear algebra on the access
+    deltas of every legal transform (read from the nest's
+    :func:`~repro.transform.catalog.nest_transforms` table), and every
+    consumer -- the per-array domain derivation, the network builder,
+    the heuristic optimizer -- asks for the same nests.  The memo rides
+    along when a program is pickled to a worker process, so workers
+    skip the derivation too.
     """
     cache = program.__dict__.setdefault("_layout_combo_cache", {})
     key = (nest.name, include_reversals, tuple(skew_factors))
@@ -91,27 +75,37 @@ def nest_layout_combos(
     if combos is None:
         combos = []
         seen: set[tuple[tuple[str, Layout], ...]] = set()
-        transforms = legal_transforms(nest, include_reversals, skew_factors)
-        order = nest.index_order
+        table = nest_transforms(nest, include_reversals, skew_factors)
+        width = len(nest.body)
+        # Per array of the nest, in name order: its rank and the body
+        # positions of its references (their columns in the table).
         accesses = [
             (
                 array_name,
                 program.array(array_name).rank,
                 [
-                    reference.access_matrix(order)
-                    for reference in nest.references_to(array_name)
+                    position
+                    for position, reference in enumerate(nest.body)
+                    if reference.array == array_name
                 ],
             )
             for array_name in sorted(nest.arrays())
         ]
-        for transform in transforms:
-            combo = _combo_for_transform(nest, accesses, transform)
-            if not combo.assignments:
+        deltas = table.deltas
+        for row, transform in enumerate(table.transforms):
+            start = row * width
+            assignments: list[tuple[str, Layout]] = []
+            for array_name, rank, positions in accesses:
+                layout = layout_for_deltas(
+                    [deltas[start + position] for position in positions], rank
+                )
+                if layout is not None:
+                    assignments.append(_intern_pair((array_name, layout)))
+            combo_key = tuple(assignments)
+            if not combo_key or combo_key in seen:
                 continue
-            if combo.assignments in seen:
-                continue
-            seen.add(combo.assignments)
-            combos.append(combo)
+            seen.add(combo_key)
+            combos.append(LayoutCombo(nest.name, transform.name, combo_key))
         cache[key] = combos
     return list(combos)
 
@@ -134,7 +128,6 @@ def candidate_layouts_for_array(
     The result is deterministic: locality-derived layouts in nest order
     first, then any standard layouts not already present.
     """
-    decl = program.array(array)
     domain: dict[Layout, None] = {}  # insertion-ordered set
     for nest in program.nests_referencing(array):
         for combo in nest_layout_combos(
@@ -143,9 +136,23 @@ def candidate_layouts_for_array(
             layout = combo.layout_of(array)
             if layout is not None:
                 domain[layout] = None
-    standard = standard_layouts(decl.rank)
+    return with_standard_layouts(
+        domain, program.array(array).rank, include_standard
+    )
+
+
+def with_standard_layouts(
+    wanted: dict[Layout, None], rank: int, include_standard: bool
+) -> list[Layout]:
+    """A domain from its locality-derived layouts (an ordered dict).
+
+    Appends the standard layouts not already present when
+    ``include_standard`` is set, and row-major when nothing else is
+    there, so every array has a fallback.  Updates ``wanted`` in place.
+    """
+    standard = standard_layouts(rank)
     if include_standard:
-        domain.update(dict.fromkeys(standard))
-    if not domain:
-        domain[standard[0]] = None
-    return list(domain)
+        wanted.update(dict.fromkeys(standard))
+    if not wanted:
+        wanted[standard[0]] = None
+    return list(wanted)

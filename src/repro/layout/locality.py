@@ -20,13 +20,14 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from repro.ir.loops import LoopNest
 from repro.ir.reference import ArrayRef
 from repro.layout.layout import Layout
 from repro.linalg.matrices import mat_vec, mat_transpose, rank
 from repro.linalg.nullspace import left_nullspace_basis
 from repro.linalg.unimodular import complete_to_nonsingular
 from repro.linalg.vectors import dot, is_zero_vector
+# Re-exported from its historical home; the nest transform table owns it.
+from repro.transform.catalog import original_access_deltas  # noqa: F401
 
 
 def access_delta(
@@ -62,33 +63,13 @@ def matrix_delta(
 ) -> tuple[int, ...]:
     """The access delta ``A e`` from an access matrix already in hand.
 
-    Neither memoized nor shape-checked: callers take each reference's
-    matrix once per nest and ask for every legal restructuring's
-    direction, where hashing the reference for :func:`access_delta`
-    would cost more than the product itself.
+    Neither memoized nor shape-checked: the nest transform table
+    (:func:`repro.transform.catalog.nest_transforms`) takes each
+    reference's matrix once per nest and asks for every legal
+    restructuring's direction, where hashing the reference for
+    :func:`access_delta` would cost more than the product itself.
     """
     return tuple([sum(map(mul, row, direction)) for row in matrix])
-
-
-def original_access_deltas(nest: LoopNest) -> tuple[tuple[int, ...], ...]:
-    """Access delta of every body reference under the nest's own order.
-
-    One row per reference of ``nest.body``, for one step of the
-    original innermost loop.  Memoized on the (immutable) nest, beside
-    its legal-transform catalog: inflation repair and transform
-    selection both score locality in the original loop order on every
-    optimize call.
-    """
-    deltas = nest.__dict__.get("_original_access_deltas")
-    if deltas is None:
-        direction = (0,) * (nest.depth - 1) + (1,)
-        order = nest.index_order
-        deltas = tuple(
-            matrix_delta(reference.access_matrix(order), direction)
-            for reference in nest.body
-        )
-        nest.__dict__["_original_access_deltas"] = deltas
-    return deltas
 
 
 def has_spatial_locality(layout: Layout, delta: Sequence[int]) -> bool:

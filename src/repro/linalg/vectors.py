@@ -32,7 +32,7 @@ def gcd_many(values: Iterable[int]) -> int:
 
 def is_zero_vector(vector: Sequence[int]) -> bool:
     """True if every component is zero (or the vector is empty)."""
-    return all(component == 0 for component in vector)
+    return not any(vector)
 
 
 def normalize_primitive(vector: Sequence[int]) -> IntVector:

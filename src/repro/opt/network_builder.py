@@ -19,21 +19,35 @@ interpretations:
 
 Each constraint also carries a weight (the total estimated cost of the
 contributing nests) for the weighted future-work extension.
+
+The build works on domain indices, not on named pairs: every domain
+comes from one pass over the nests' combos, and every constraint is
+built straight into per-value support bitmasks -- a restructuring's
+wanted pair sets one bit, a wildcard side is the full mask, ``union``
+ORs the nests' masks and ``intersect`` ANDs them.
+:func:`~repro.csp.compiled.network_from_supports` then makes the
+:class:`~repro.csp.network.ConstraintNetwork` from the masks, with its
+compiled kernel already cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import reduce
+from operator import and_, or_
 
-from repro.csp.compiled import CompiledNetwork, compile_network
+from repro.csp.compiled import (
+    CompiledNetwork,
+    compile_network,
+    network_from_supports,
+)
 from repro.csp.network import ConstraintNetwork
 from repro.csp.weighted import WeightedNetwork
 from repro.ir.program import Program
 from repro.layout.candidates import (
     LayoutCombo,
-    candidate_layouts_for_array,
     nest_layout_combos,
+    with_standard_layouts,
 )
 from repro.layout.layout import Layout
 
@@ -80,8 +94,8 @@ class LayoutNetwork:
         """The compiled execution form of the current ``network``.
 
         :func:`~repro.csp.compiled.compile_network` caches the kernel on
-        the network keyed by its revision, so this is free after the
-        build's eager compile -- also in a worker that unpickled the
+        the network keyed by its revision, and the build seeds that
+        cache, so this is free -- also in a worker that unpickled the
         network, since the cached kernel pickles with it -- and a
         network mutated after the build is recompiled, never served
         stale.
@@ -111,87 +125,114 @@ def build_layout_network(
     if not arrays:
         raise ValueError(f"program {program.name} references no arrays")
 
-    network = ConstraintNetwork()
-    for array in arrays:
-        domain = candidate_layouts_for_array(
-            program,
-            array,
-            include_standard=options.include_standard,
-            include_reversals=options.include_reversals,
-            skew_factors=options.skew_factors,
-        )
-        network.add_variable(array, domain)
-
-    combos_by_nest: dict[str, list[LayoutCombo]] = {}
-    # Keyed (first, second) with first < second: every nest visits its
-    # arrays in sorted order, so this is also each constraint's
-    # orientation.
-    pair_sources: dict[tuple[str, str], list[set[tuple[Layout, Layout]]]] = {}
-    weights: dict[frozenset[str], float] = {}
-    notes: list[str] = []
-
-    for nest in program.nests:
-        combos = nest_layout_combos(
+    combos_by_nest = {
+        nest.name: nest_layout_combos(
             program,
             nest,
             include_reversals=options.include_reversals,
             skew_factors=options.skew_factors,
         )
-        combos_by_nest[nest.name] = combos
+        for nest in program.nests
+    }
+    # Domains in one pass over the combos: nests in program order, so
+    # each array's layouts come in candidate_layouts_for_array's order.
+    wanted: dict[str, dict[Layout, None]] = {array: {} for array in arrays}
+    for combos in combos_by_nest.values():
+        for combo in combos:
+            for array, layout in combo.assignments:
+                wanted[array][layout] = None
+    value_index = tuple(
+        {
+            layout: a
+            for a, layout in enumerate(
+                with_standard_layouts(
+                    wanted[array],
+                    program.array(array).rank,
+                    options.include_standard,
+                )
+            )
+        }
+        for array in arrays
+    )
+    index_of = {array: i for i, array in enumerate(arrays)}
+    sizes = [len(index) for index in value_index]
+
+    # Keyed (i, j) with arrays[i] < arrays[j] by name: every nest visits
+    # its arrays in sorted order, so this is also each constraint's
+    # orientation.  Each source is one nest's per-value support masks
+    # over j's domain, one mask per value of i.
+    pair_sources: dict[tuple[int, int], list[list[int]]] = {}
+    weights: dict[frozenset[str], float] = {}
+    notes: list[str] = []
+
+    for nest in program.nests:
+        combos = combos_by_nest[nest.name]
         if not combos:
             continue
-        preferences = [dict(combo.assignments) for combo in combos]
-        constrained = sorted({array for prefs in preferences for array in prefs})
-        # An array a restructuring leaves free (temporal locality) is a
-        # *wildcard*: any layout in its domain is acceptable alongside
-        # the partner's preference under that restructuring.
-        wildcards = {array: network.domain(array) for array in constrained}
-        nest_pairs: dict[tuple[str, str], set[tuple[Layout, Layout]]] = {}
-        for prefs in preferences:
-            for i, first in enumerate(constrained):
-                layout_first = prefs.get(first)
-                firsts = (
-                    (layout_first,)
-                    if layout_first is not None
-                    else wildcards[first]
-                )
-                for second in constrained[i + 1:]:
-                    layout_second = prefs.get(second)
-                    if layout_second is not None:
-                        seconds = (layout_second,)
-                    elif layout_first is None:
-                        # This restructuring leaves both arrays free
-                        # (temporal locality): it imposes nothing.
+        constrained = sorted(
+            {array for combo in combos for array, _ in combo.assignments}
+        )
+        position = {array: k for k, array in enumerate(constrained)}
+        variables = [index_of[array] for array in constrained]
+        # Per restructuring, the preferred value index of every
+        # constrained array, or None where it leaves the array free.
+        rows = []
+        for combo in combos:
+            row = [None] * len(constrained)
+            for array, layout in combo.assignments:
+                row[position[array]] = value_index[index_of[array]][layout]
+            rows.append(row)
+        # A free array (temporal locality) is a *wildcard*: any layout
+        # in its domain is acceptable alongside the partner's preference
+        # under that restructuring -- a full mask when the partner side
+        # is free, a full column when the first side is.
+        nest_masks: dict[tuple[int, int], list[int]] = {}
+        columns: dict[tuple[int, int], int] = {}
+        for row in rows:
+            for k, a in enumerate(row):
+                i = variables[k]
+                for offset, b in enumerate(row[k + 1:], k + 1):
+                    if b is None and a is None:
+                        # Both arrays free: this restructuring imposes
+                        # nothing on the pair.
                         continue
+                    key = (i, variables[offset])
+                    masks = nest_masks.get(key)
+                    if masks is None:
+                        masks = nest_masks[key] = [0] * sizes[i]
+                    if a is None:
+                        columns[key] = columns.get(key, 0) | (1 << b)
+                    elif b is None:
+                        masks[a] |= (1 << sizes[key[1]]) - 1
                     else:
-                        seconds = wildcards[second]
-                    bucket = nest_pairs.get((first, second))
-                    if bucket is None:
-                        bucket = nest_pairs[(first, second)] = set()
-                    for value_first in firsts:
-                        for value_second in seconds:
-                            bucket.add((value_first, value_second))
+                        masks[a] |= 1 << b
         cost = float(nest.estimated_cost)
-        for key, pairs in nest_pairs.items():
-            pair_sources.setdefault(key, []).append(pairs)
-            weight_key = frozenset(key)
+        for key, masks in nest_masks.items():
+            column = columns.get(key)
+            if column is not None:
+                masks = [mask | column for mask in masks]
+            pair_sources.setdefault(key, []).append(masks)
+            weight_key = frozenset((arrays[key[0]], arrays[key[1]]))
             weights[weight_key] = weights.get(weight_key, 0.0) + cost
 
-    for (first, second), source_sets in pair_sources.items():
-        if options.combine == "intersect" and len(source_sets) > 1:
-            merged = set.intersection(*source_sets)
-            if not merged:
-                merged = set.union(*source_sets)
+    constraints = []
+    for (i, j), sources in pair_sources.items():
+        if len(sources) == 1:
+            merged = sources[0]
+        elif options.combine == "intersect":
+            merged = [reduce(and_, masks) for masks in zip(*sources)]
+            if not any(merged):
+                merged = [reduce(or_, masks) for masks in zip(*sources)]
                 notes.append(
-                    f"constraint ({first}, {second}): empty intersection "
-                    "across nests; fell back to union"
+                    f"constraint ({arrays[i]}, {arrays[j]}): empty "
+                    "intersection across nests; fell back to union"
                 )
         else:
-            merged = set.union(*source_sets)
-        network.add_constraint(first, second, merged)
+            merged = [reduce(or_, masks) for masks in zip(*sources)]
+        constraints.append((i, j, merged))
 
-    # Compile eagerly: the kernel is cached on the network, so no
-    # consumer (one scheme, a whole portfolio ladder, the fingerprinter)
-    # ever pays recompilation.
-    compile_network(network)
+    # The network comes with its kernel already cached, so no consumer
+    # (one scheme, a whole portfolio ladder, the fingerprinter) ever
+    # pays compilation.
+    network = network_from_supports(arrays, value_index, constraints)
     return LayoutNetwork(network, weights, combos_by_nest, notes)

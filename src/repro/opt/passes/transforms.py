@@ -14,15 +14,10 @@ from typing import Mapping
 
 from repro.ir.program import Program
 from repro.layout.layout import Layout
-from repro.layout.locality import (
-    has_spatial_locality,
-    has_temporal_locality,
-    matrix_delta,
-    original_access_deltas,
-)
+from repro.layout.locality import has_spatial_locality, has_temporal_locality
 from repro.obs import trace as obs_trace
 from repro.opt.passes.base import PipelineContext
-from repro.transform.catalog import legal_transforms
+from repro.transform.catalog import nest_transforms
 from repro.transform.unimodular_loop import LoopTransform
 
 
@@ -80,33 +75,23 @@ def _select_transforms(
 ) -> dict[str, LoopTransform]:
     chosen: dict[str, LoopTransform] = {}
     for nest in program.nests:
-        order = nest.index_order
-        # Every reference whose array has a layout, with its access
-        # matrix and its memoized original-order delta: a transform
-        # whose innermost step is the original one reuses those deltas,
-        # any other gets one small product per reference.
-        original = (0,) * (nest.depth - 1) + (1,)
-        scored: list[Layout] = []
-        matrices = []
-        original_deltas = []
-        for reference, delta in zip(nest.body, original_access_deltas(nest)):
-            layout = layouts.get(reference.array)
-            if layout is not None:
-                scored.append(layout)
-                matrices.append(reference.access_matrix(order))
-                original_deltas.append(delta)
+        table = nest_transforms(nest, include_reversals, skew_factors)
+        width = len(nest.body)
+        # Every reference whose array has a layout: its column in the
+        # nest table and the layout its deltas are scored against.
+        scored = [
+            (position, layout)
+            for position, reference in enumerate(nest.body)
+            if (layout := layouts.get(reference.array)) is not None
+        ]
+        deltas = table.deltas
         best: LoopTransform | None = None
         best_score = -1
-        for transform in legal_transforms(
-            nest, include_reversals, skew_factors
-        ):
-            direction = transform.innermost_direction()
-            if direction == original:
-                deltas = original_deltas
-            else:
-                deltas = [matrix_delta(matrix, direction) for matrix in matrices]
+        for row, transform in enumerate(table.transforms):
+            start = row * width
             score = 0
-            for layout, delta in zip(scored, deltas):
+            for position, layout in scored:
+                delta = deltas[start + position]
                 if has_temporal_locality(delta):
                     score += 7
                 elif has_spatial_locality(layout, delta):

@@ -6,10 +6,16 @@ size of every constraint.  The default catalog contains all loop
 permutations, optionally composed with a reversal of the new innermost
 loop, and optionally small skews of the innermost loop -- a superset of
 the interchange example the paper walks through for Figure 2.
+
+Each nest memoizes one table per catalog configuration
+(:func:`nest_transforms`): its legal transforms and every body
+reference's access delta under each, which combo derivation, transform
+selection and inflation repair all read.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
@@ -83,6 +89,95 @@ def candidate_transforms(
     return result
 
 
+class BoundedIntern:
+    """Hands back one shared object per distinct (hashable) value.
+
+    The per-program and per-nest memos hold the same few small tuples
+    many times over -- a few hundred distinct access deltas cover
+    thousands of nest-table rows -- so sharing them keeps the memos
+    small.  Random suites keep producing new programs, so the intern
+    stops adding at ``limit`` entries instead of growing with them; a
+    value it no longer takes is simply returned unshared.
+    """
+
+    __slots__ = ("_limit", "_values")
+
+    def __init__(self, limit: int):
+        self._limit = limit
+        self._values: dict = {}
+
+    def __call__(self, value):
+        shared = self._values.get(value)
+        if shared is not None:
+            return shared
+        if len(self._values) < self._limit:
+            self._values[value] = value
+        return value
+
+
+#: Equal access deltas of every nest table share one tuple.
+_intern_delta = BoundedIntern(16384)
+
+
+@dataclass(frozen=True, slots=True)
+class NestTransforms:
+    """A nest's legal restructurings and its access deltas under each.
+
+    Attributes:
+        transforms: the legal catalog transforms, identity first.
+        deltas: flat, one row of ``len(nest.body)`` per transform:
+            ``deltas[t * len(nest.body) + r]`` is the access delta of
+            body reference ``r`` for one step of transform ``t``'s
+            innermost loop.
+        original: the identity's row (the nest's own loop order).
+    """
+
+    transforms: tuple[LoopTransform, ...]
+    deltas: tuple[tuple[int, ...], ...]
+    original: tuple[tuple[int, ...], ...]
+
+
+def nest_transforms(
+    nest: LoopNest,
+    include_reversals: bool = False,
+    skew_factors: tuple[int, ...] = (),
+) -> NestTransforms:
+    """The catalog filtered by dependence legality, with access deltas.
+
+    Memoized on the (immutable) nest: the dependence analysis, the
+    per-transform legality filter and every (restructuring, reference)
+    access delta are computed once per nest and catalog configuration,
+    however many arrays, schemes or requests ask.  Combo derivation,
+    transform selection and inflation repair all read this one table.
+    """
+    cache = nest.__dict__.setdefault("_legal_transform_cache", {})
+    key = (include_reversals, tuple(skew_factors))
+    table = cache.get(key)
+    if table is None:
+        # Imported here: repro.layout.locality imports this module.
+        from repro.layout.locality import matrix_delta
+
+        info = analyze_nest_dependences(nest)
+        legal = tuple(
+            transform
+            for transform in candidate_transforms(
+                nest.depth, include_reversals, skew_factors
+            )
+            if is_legal(info, transform)
+        )
+        order = nest.index_order
+        matrices = [reference.access_matrix(order) for reference in nest.body]
+        deltas = tuple(
+            _intern_delta(matrix_delta(matrix, transform.innermost_direction()))
+            for transform in legal
+            for matrix in matrices
+        )
+        # Identity is always legal and always first.
+        original = deltas[: len(matrices)]
+        table = cache[key] = NestTransforms(legal, deltas, original)
+    return table
+
+
 def legal_transforms(
     nest: LoopNest,
     include_reversals: bool = False,
@@ -90,21 +185,24 @@ def legal_transforms(
 ) -> list[LoopTransform]:
     """The catalog filtered by dependence legality for one nest.
 
-    Memoized on the (immutable) nest: the dependence analysis and the
-    per-transform legality filter run once per nest and catalog
-    configuration, however many arrays, schemes or requests ask.
+    Identity first; read from the memoized :func:`nest_transforms`
+    table.
     """
-    cache = nest.__dict__.setdefault("_legal_transform_cache", {})
-    key = (include_reversals, tuple(skew_factors))
-    legal = cache.get(key)
-    if legal is None:
-        info = analyze_nest_dependences(nest)
-        legal = [
-            transform
-            for transform in candidate_transforms(
-                nest.depth, include_reversals, skew_factors
-            )
-            if is_legal(info, transform)
-        ]
-        cache[key] = legal
-    return list(legal)
+    return list(nest_transforms(nest, include_reversals, skew_factors).transforms)
+
+
+def original_access_deltas(nest: LoopNest) -> tuple[tuple[int, ...], ...]:
+    """Access delta of every body reference under the nest's own order.
+
+    One row per reference of ``nest.body``, for one step of the
+    original innermost loop: the identity's row of the nest's
+    :func:`nest_transforms` table.  The identity leads every catalog
+    configuration, so whichever configuration's table the nest already
+    holds serves; only a nest with no table yet gets the default one.
+    Inflation repair scores locality in the original loop order on
+    every optimize call.
+    """
+    cache = nest.__dict__.get("_legal_transform_cache")
+    if cache:
+        return next(iter(cache.values())).original
+    return nest_transforms(nest).original

@@ -8,7 +8,10 @@ selection are kept here as references: the production code in
 :mod:`repro.opt.passes.transforms` must produce the same combos, domains
 (in order), constraints (in order, same orientation and pair sets),
 weights, notes and chosen transforms on every program and every build
-configuration.
+configuration.  The builder makes its bitmask kernel directly, so that
+kernel must also equal :func:`~repro.csp.compiled.compile_network` of a
+network authored from the oracle's pair sets, and every access delta of
+the nest tables must equal its matrix product.
 """
 
 import itertools
@@ -16,6 +19,8 @@ import itertools
 import pytest
 
 from repro.bench.programs import BENCHMARK_NAMES, build_benchmark, random_suite
+from repro.csp.compiled import compile_network
+from repro.csp.network import ConstraintNetwork
 from repro.ir.parser import parse_program
 from repro.layout.candidates import LayoutCombo
 from repro.layout.layout import standard_layouts
@@ -23,11 +28,12 @@ from repro.layout.locality import (
     access_delta,
     has_temporal_locality,
     layout_for_deltas,
+    matrix_delta,
 )
 from repro.linalg.vectors import dot
 from repro.opt.network_builder import BuildOptions, build_layout_network
 from repro.opt.passes.transforms import _select_transforms
-from repro.transform.catalog import legal_transforms
+from repro.transform.catalog import legal_transforms, nest_transforms
 
 CONFIGS = [
     BuildOptions(
@@ -267,3 +273,55 @@ def test_build_and_transform_selection_match_oracles(programs, options):
     assert transforms_moved > 0  # real restructurings were compared
     if options.combine == "intersect":
         assert notes_seen > 0  # the union fallback was exercised
+
+
+@pytest.mark.parametrize("options", CONFIGS, ids=_config_id)
+def test_builder_kernel_matches_compiled_oracle_network(programs, options):
+    for program in programs:
+        built = build_layout_network(program, options)
+        _, domains, constraints, _, _ = _oracle_build(program, options)
+        authored = ConstraintNetwork()
+        for array, domain in domains.items():
+            authored.add_variable(array, domain)
+        for first, second, pairs in constraints:
+            authored.add_constraint(first, second, pairs)
+        expected = compile_network(authored)
+
+        kernel = built.kernel()
+        assert built.kernel() is kernel  # cached at build, not recompiled
+        assert built.network.revision == authored.revision, program.name
+        assert kernel.names == expected.names, program.name
+        assert kernel.domains == expected.domains, program.name
+        assert kernel.value_index == expected.value_index, program.name
+        assert kernel.full_masks == expected.full_masks, program.name
+        # Both orientations of every constrained pair, and no others.
+        assert kernel.supports == expected.supports, program.name
+        assert kernel.pairs == expected.pairs, program.name
+        assert kernel.neighbors == expected.neighbors, program.name
+        assert kernel.name_rank == expected.name_rank, program.name
+
+
+@pytest.mark.parametrize("options", CONFIGS, ids=_config_id)
+def test_nest_table_deltas_are_the_matrix_products(programs, options):
+    rows = 0
+    for program in programs:
+        for nest in program.nests:
+            table = nest_transforms(
+                nest, options.include_reversals, options.skew_factors
+            )
+            assert list(table.transforms) == legal_transforms(
+                nest, options.include_reversals, options.skew_factors
+            )
+            assert table.transforms[0].is_identity
+            order = nest.index_order
+            width = len(nest.body)
+            assert len(table.deltas) == width * len(table.transforms)
+            for row, transform in enumerate(table.transforms):
+                direction = transform.innermost_direction()
+                for position, reference in enumerate(nest.body):
+                    assert table.deltas[row * width + position] == matrix_delta(
+                        reference.access_matrix(order), direction
+                    ), (program.name, nest.name, transform.name)
+                rows += 1
+            assert table.original == table.deltas[:width]
+    assert rows > 0
