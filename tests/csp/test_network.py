@@ -103,6 +103,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             network.add_constraint("x", "y", [(2, 2)])
 
+    def test_from_checked_equals_incremental_build(self):
+        authored = paper_example_network()
+        network = ConstraintNetwork.from_checked(
+            {name: authored.domain(name) for name in authored.variables},
+            authored.constraints,
+        )
+        assert network.variables == authored.variables
+        assert network.constraints == authored.constraints
+        for name in authored.variables:
+            assert network.domain(name) == authored.domain(name)
+            assert network.neighbors(name) == authored.neighbors(name)
+        assert network.revision == authored.revision
+        assert network.canonical_form() == authored.canonical_form()
+
 
 class TestQueries:
     def test_paper_example_shape(self):

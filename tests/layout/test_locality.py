@@ -13,10 +13,10 @@ from repro.layout.locality import (
     has_temporal_locality,
     layout_for_deltas,
     matrix_delta,
-    original_access_deltas,
     preferred_layout,
 )
 from repro.linalg.vectors import dot
+from repro.transform.catalog import original_access_deltas
 
 _i1 = AffineExpr.var("i1")
 _i2 = AffineExpr.var("i2")

@@ -22,7 +22,7 @@ from repro.bench.programs import BENCHMARK_NAMES, build_benchmark, random_suite
 from repro.csp.compiled import compile_network
 from repro.csp.network import ConstraintNetwork
 from repro.ir.parser import parse_program
-from repro.layout.candidates import LayoutCombo
+from repro.layout.candidates import LayoutCombo, candidate_layouts_for_array
 from repro.layout.layout import standard_layouts
 from repro.layout.locality import (
     access_delta,
@@ -249,6 +249,14 @@ def test_build_and_transform_selection_match_oracles(programs, options):
         assert list(network.variables) == list(domains), program.name
         for array, domain in domains.items():
             assert list(network.domain(array)) == domain, (program.name, array)
+            # The dynamic planner's per-array domain is the builder's.
+            assert candidate_layouts_for_array(
+                program,
+                array,
+                options.include_standard,
+                options.include_reversals,
+                options.skew_factors,
+            ) == domain, (program.name, array)
         assert [
             (c.first, c.second, c.pairs) for c in network.constraints
         ] == constraints, program.name
